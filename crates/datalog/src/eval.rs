@@ -1,39 +1,29 @@
-//! Bottom-up evaluation: naive and semi-naive least-fixpoint computation
-//! of semipositive datalog over a finite structure (paper §2.4).
+//! Bottom-up evaluation: semi-naive least-fixpoint computation of
+//! semipositive datalog over a finite structure (paper §2.4).
 //!
-//! Three engines live here:
-//!
-//! * [`eval_naive`] — the executable definition of the minimal-model
-//!   semantics (all rules, every round, no indexes). Ground truth.
-//! * [`eval_seminaive`] — the production engine: per-rule join plans
-//!   (module [`plan`](crate::plan)) probe lazily built secondary indexes
-//!   ([`mdtw_structure::PosIndex`]) instead of scanning whole relations,
-//!   the frontier is a set of per-predicate delta relations, and rules
-//!   with several intensional body atoms use the textbook semi-naive
-//!   split — for the delta at body position *i*, positions before *i*
-//!   read the pre-round store and positions after read the updated
-//!   store — so no instantiation fires twice in a round.
-//! * [`eval_seminaive_scan`] — the pre-index engine (nested-loop joins,
-//!   one shared delta set, full store on non-delta positions), kept as a
-//!   differential-testing oracle and scan baseline for the
-//!   `join_indexing` bench. It re-fires instantiations whose atoms match
-//!   several delta tuples; its fixpoint is nevertheless correct.
+//! The engine executes per-rule join plans (module
+//! [`plan`](crate::plan)) that probe lazily built secondary indexes
+//! ([`mdtw_structure::PosIndex`]) instead of scanning whole relations.
+//! After round 0 a rule fires only with at least one body atom taken
+//! from the previous round's delta, and the frontier is a set of
+//! per-predicate delta relations. Rules with several intensional body
+//! atoms use the textbook semi-naive split: for the delta at body
+//! position *i*, positions before *i* read the pre-round store and
+//! positions after read the updated store, so no instantiation fires
+//! twice in a round. Sessions reach it through the stratified driver in
+//! [`stratify`](mod@crate::stratify); incremental maintenance reuses its
+//! round loop.
 //!
 //! The *linear-time* evaluation of quasi-guarded programs (Theorem 4.4)
 //! lives in the `ground` and `horn` modules.
 
 use crate::ast::{Atom, IdbId, PredRef, Program, Rule, Term, Var};
-use crate::evaluator::EvalError;
 use crate::limits::Governor;
 use crate::plan::{Access, JoinPlan, RulePlans};
 use crate::profile::{LitCount, Profiler};
-use mdtw_structure::fx::{FxHashMap, FxHashSet};
+use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::{ElemId, PosIndex, Relation, Structure};
 use std::sync::Arc;
-
-/// The scan engine's semi-naive frontier: the set of IDB facts derived in
-/// the previous iteration, keyed by predicate.
-type DeltaSet = FxHashSet<(IdbId, Box<[ElemId]>)>;
 
 /// The computed least fixpoint: one indexed relation per intensional
 /// predicate. The relations expose the same secondary-index layer as the
@@ -113,10 +103,6 @@ impl IdbStore {
         &self.rels[pred.index()]
     }
 
-    fn insert(&mut self, pred: IdbId, args: &[ElemId]) -> bool {
-        self.rels[pred.index()].insert(args)
-    }
-
     /// Creates an empty store shaped for `program` (used by the
     /// quasi-guarded evaluator to decode LTUR models).
     pub(crate) fn new_for(program: &Program) -> Self {
@@ -148,33 +134,30 @@ pub struct EvalStats {
     pub facts: usize,
     /// Number of fixpoint rounds.
     pub rounds: usize,
-    /// Secondary-index probes performed (always 0 for the naive and scan
-    /// engines, which never probe).
+    /// Secondary-index probes performed.
     pub index_probes: usize,
-    /// Unindexed enumerations of an EDB relation or the IDB store,
-    /// counted by all three engines (enumerating a round's delta — the
-    /// point of semi-naive evaluation — is not counted).
+    /// Unindexed enumerations of an EDB relation or the IDB store
+    /// (enumerating a round's delta — the point of semi-naive evaluation
+    /// — is not counted).
     pub full_scans: usize,
-    /// Candidate tuples enumerated across all literal accesses, counted
-    /// by all three engines.
+    /// Candidate tuples enumerated across all literal accesses.
     pub tuples_considered: usize,
     /// Derivations that resolved to an already-interned tuple (in the
     /// store or the round's staging relation) instead of allocating new
     /// storage: `interned_hits + facts` equals the number of firings with
-    /// an intensional head. Indexed engine only.
+    /// an intensional head. Semi-naive engine only.
     pub interned_hits: usize,
     /// 1 if this evaluation reused compiled rule plans from a
     /// [`PlanCache`](crate::cache::PlanCache), 0 if it had to plan.
-    /// Indexed engine only (the stratified pipeline reports one potential
-    /// hit per stratum).
+    /// Semi-naive engine only (the stratified pipeline reports one
+    /// potential hit per stratum).
     pub plan_cache_hits: usize,
-    /// Number of negative-literal membership checks performed, counted by
-    /// all engines (a short-circuited conjunction counts only the checks
-    /// it actually ran).
+    /// Number of negative-literal membership checks performed (a
+    /// short-circuited conjunction counts only the checks it actually
+    /// ran).
     pub negative_checks: usize,
-    /// Number of evaluation strata: 1 for the single-pass engines, the
-    /// stratification's stratum count for
-    /// [`eval_stratified`](crate::stratify::eval_stratified).
+    /// Number of evaluation strata: the stratification's stratum count
+    /// (1 for semipositive programs and the quasi-guarded engine).
     pub strata: usize,
     /// Amortized limit checkpoints the resource governor ran (0 when the
     /// evaluation carried no [`EvalLimits`](crate::limits::EvalLimits)).
@@ -209,119 +192,14 @@ impl EvalStats {
     }
 }
 
-/// The semipositive engines' input contract as a typed error. The parser
-/// accepts any *stratified* program, so a negated intensional literal
-/// could reach the one-shot engine entry points; without this check it
-/// would surface as a confusing `unreachable!` deep inside the join loop.
-pub(crate) fn check_semipositive(program: &Program) -> Result<(), EvalError> {
-    program
-        .check_semipositive()
-        .map_err(|message| EvalError::NotSemipositive { message })
-}
-
-/// The debug twin of [`check_semipositive`] for call sites where
-/// semipositivity is guaranteed by construction (an [`Evaluator`]
-/// (crate::evaluator::Evaluator) session rejects multi-stratum programs
-/// on semipositive-only engines before `evaluate` can run).
+/// Debug check of the semipositive engine's input contract, for the
+/// stratified driver's single-stratum fast path, where a one-stratum
+/// stratification guarantees semipositivity by construction.
 pub(crate) fn debug_assert_semipositive(program: &Program) {
     debug_assert!(
         program.check_semipositive().is_ok(),
         "caller must guarantee semipositivity"
     );
-}
-
-/// Naive evaluation: apply all rules until nothing changes.
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session with `Engine::Naive` \
-            (`Evaluator::with_options(program, EvalOptions::new().engine(Engine::Naive))`)"
-)]
-pub fn eval_naive(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    Ok(naive_fixpoint(
-        program,
-        structure,
-        &mut Governor::new(None),
-        None,
-    ))
-}
-
-/// The naive engine proper (shared by the deprecated [`eval_naive`]
-/// wrapper and [`Engine::Naive`](crate::evaluator::Engine::Naive)
-/// sessions). The caller guarantees semipositivity. On a governor trip
-/// the store holds the facts derived so far — a sound subset of the
-/// least fixpoint.
-pub(crate) fn naive_fixpoint(
-    program: &Program,
-    structure: &Structure,
-    gov: &mut Governor<'_>,
-    mut prof: Option<&mut Profiler>,
-) -> (IdbStore, EvalStats) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.begin_stratum(0, program, None);
-    }
-    let mut store = IdbStore::new(program);
-    let mut stats = EvalStats {
-        strata: 1,
-        ..EvalStats::default()
-    };
-    loop {
-        if gov.round(stats.tuples_considered, stats.facts) {
-            break;
-        }
-        stats.rounds += 1;
-        let mut new_facts: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-        let mut stopped = false;
-        for (ri, rule) in program.rules.iter().enumerate() {
-            stopped = profiled_match(
-                rule,
-                ri,
-                structure,
-                &store,
-                None,
-                &mut stats,
-                gov,
-                &mut prof,
-                &mut |head_args| {
-                    if let PredRef::Idb(id) = rule.head.pred {
-                        if !store.holds(id, &head_args) {
-                            new_facts.push((id, head_args));
-                        }
-                    }
-                },
-            );
-            if stopped {
-                break;
-            }
-        }
-        // Facts staged before a trip are still derivable, so folding them
-        // in keeps the partial store a subset of the fixpoint.
-        let mut changed = false;
-        for (id, args) in new_facts {
-            if store.insert(id, &args) {
-                changed = true;
-                stats.facts += 1;
-            }
-        }
-        if stopped || !changed {
-            break;
-        }
-    }
-    if let Some(p) = prof {
-        if gov.tripped().is_some() {
-            p.mark_trip(0);
-        }
-        p.end_stratum(stats.rounds, stats.facts);
-    }
-    (store, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -421,39 +299,6 @@ struct PlanCtx<'a> {
     store: &'a IdbStore,
 }
 
-/// Semi-naive evaluation over indexed join plans: after the first round, a
-/// rule fires only with at least one body atom taken from the previous
-/// round's delta, and each body literal enumerates only the tuples
-/// matching its already-bound arguments (via [`Relation::index_on`]).
-///
-/// Compiled plans are memoized in the process-wide
-/// [`PlanCache`](crate::cache::PlanCache): repeated evaluations of the
-/// same program skip planning entirely and report it in
-/// [`EvalStats::plan_cache_hits`].
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session (`Evaluator::new(program)?.evaluate(&structure)`) \
-            so repeated evaluations reuse one analysis, plan cache and scratch buffers"
-)]
-pub fn eval_seminaive(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    let (plans, hit) = crate::cache::global_plan_cache().plans(program, structure);
-    let stats = EvalStats {
-        plan_cache_hits: usize::from(hit),
-        strata: 1,
-        ..EvalStats::default()
-    };
-    Ok(run_seminaive(program, structure, &plans, stats))
-}
-
 /// The recycled working set of the semi-naive round loop: the ping-ponged
 /// per-predicate delta relations, the per-round staging relations, and
 /// the probe-key/head scratch buffer. One instance per
@@ -489,26 +334,6 @@ impl SeminaiveScratch {
         self.fresh.clear();
         self.key.clear();
     }
-}
-
-/// The semi-naive round loop, parameterized by pre-compiled plans, with a
-/// one-shot scratch set and no governor (the deprecated-wrapper path).
-pub(crate) fn run_seminaive(
-    program: &Program,
-    structure: &Structure,
-    plans: &[RulePlans],
-    stats: EvalStats,
-) -> (IdbStore, EvalStats) {
-    let mut scratch = SeminaiveScratch::new(program);
-    run_seminaive_scratch(
-        program,
-        structure,
-        plans,
-        stats,
-        &mut scratch,
-        &mut Governor::new(None),
-        None,
-    )
 }
 
 /// The semi-naive round loop over caller-owned (session-recycled) scratch
@@ -809,7 +634,7 @@ fn negative_holds(
     match atom.pred {
         PredRef::Edb(p) => ctx.structure.holds(p, scratch),
         PredRef::Idb(_) => unreachable!(
-            "negated intensional literal in the semipositive engine; use eval_stratified"
+            "negated intensional literal in the semipositive engine; use an Evaluator session"
         ),
     }
 }
@@ -1015,369 +840,6 @@ fn descend_plan(
     false
 }
 
-// ---------------------------------------------------------------------------
-// Scan engine (pre-index oracle and baseline)
-// ---------------------------------------------------------------------------
-
-/// The pre-index semi-naive engine: nested-loop joins over full relation
-/// scans, one shared delta set, and one delta pass per intensional body
-/// position with every other position reading the already-updated store.
-///
-/// Kept verbatim as a differential-testing oracle (its least fixpoint is
-/// correct) and as the scan baseline of the `join_indexing` bench. Note
-/// its known inefficiency: an instantiation whose intensional atoms match
-/// several delta tuples fires once per delta pass, inflating
-/// [`EvalStats::firings`]; [`eval_seminaive`] fixes this with the proper
-/// rule split.
-///
-/// # Errors
-/// [`EvalError::NotSemipositive`] if the program negates an intensional
-/// atom (use an `Evaluator` session, which auto-dispatches to the
-/// stratified pipeline) or is otherwise ill-formed.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session with `Engine::SemiNaiveScan` \
-            (`Evaluator::with_options(program, EvalOptions::new().engine(Engine::SemiNaiveScan))`)"
-)]
-pub fn eval_seminaive_scan(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), EvalError> {
-    check_semipositive(program)?;
-    Ok(scan_fixpoint(
-        program,
-        structure,
-        &mut Governor::new(None),
-        None,
-    ))
-}
-
-/// The scan engine proper (shared by the deprecated
-/// [`eval_seminaive_scan`] wrapper and
-/// [`Engine::SemiNaiveScan`](crate::evaluator::Engine::SemiNaiveScan)
-/// sessions). The caller guarantees semipositivity. On a governor trip
-/// the store holds a sound subset of the least fixpoint.
-pub(crate) fn scan_fixpoint(
-    program: &Program,
-    structure: &Structure,
-    gov: &mut Governor<'_>,
-    mut prof: Option<&mut Profiler>,
-) -> (IdbStore, EvalStats) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.begin_stratum(0, program, None);
-    }
-    let mut store = IdbStore::new(program);
-    let mut stats = EvalStats {
-        strata: 1,
-        ..EvalStats::default()
-    };
-
-    if gov.round(stats.tuples_considered, stats.facts) {
-        if let Some(p) = prof {
-            p.mark_trip(0);
-            p.end_stratum(stats.rounds, stats.facts);
-        }
-        return (store, stats);
-    }
-
-    // Round 0: all rules, unconstrained.
-    stats.rounds += 1;
-    let mut delta: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-    for (ri, rule) in program.rules.iter().enumerate() {
-        let stopped = profiled_match(
-            rule,
-            ri,
-            structure,
-            &store,
-            None,
-            &mut stats,
-            gov,
-            &mut prof,
-            &mut |head_args| {
-                if let PredRef::Idb(id) = rule.head.pred {
-                    if !store.holds(id, &head_args) {
-                        delta.push((id, head_args));
-                    }
-                }
-            },
-        );
-        if stopped {
-            break;
-        }
-    }
-    let mut frontier: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-    for (id, args) in delta {
-        if store.insert(id, &args) {
-            stats.facts += 1;
-            frontier.push((id, args));
-        }
-    }
-
-    while !frontier.is_empty() {
-        if gov.round(stats.tuples_considered, stats.facts) {
-            break;
-        }
-        stats.rounds += 1;
-        let delta_set: DeltaSet = frontier.drain(..).collect();
-        let mut new_facts: Vec<(IdbId, Box<[ElemId]>)> = Vec::new();
-        let mut stopped = false;
-        'rules: for (ri, rule) in program.rules.iter().enumerate() {
-            // One pass per IDB body position: that position must match the
-            // delta; other positions use the full store.
-            let idb_positions: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Idb(_)))
-                .map(|(i, _)| i)
-                .collect();
-            for &pos in &idb_positions {
-                stopped = profiled_match(
-                    rule,
-                    ri,
-                    structure,
-                    &store,
-                    Some((pos, &delta_set)),
-                    &mut stats,
-                    gov,
-                    &mut prof,
-                    &mut |head_args| {
-                        if let PredRef::Idb(id) = rule.head.pred {
-                            if !store.holds(id, &head_args) {
-                                new_facts.push((id, head_args));
-                            }
-                        }
-                    },
-                );
-                if stopped {
-                    break 'rules;
-                }
-            }
-        }
-        for (id, args) in new_facts {
-            if store.insert(id, &args) {
-                stats.facts += 1;
-                frontier.push((id, args));
-            }
-        }
-        if stopped {
-            break;
-        }
-    }
-    if let Some(p) = prof {
-        if gov.tripped().is_some() {
-            p.mark_trip(0);
-        }
-        p.end_stratum(stats.rounds, stats.facts);
-    }
-    (store, stats)
-}
-
-/// [`for_each_match`] under the profiler — the scan/naive twin of
-/// [`profiled_apply`]: one branch when off, sampled-timed pass + stats
-/// delta (and per-literal trace at `Literals`) folded into rule `ri`'s
-/// accumulator when on.
-#[allow(clippy::too_many_arguments)]
-fn profiled_match(
-    rule: &Rule,
-    ri: usize,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    prof: &mut Option<&mut Profiler>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    match prof.as_deref_mut() {
-        Some(p) if p.rules_on() => {
-            let before = *stats;
-            let timer = p.pass_timer(ri);
-            p.begin_pass(rule.body.len());
-            let stop = for_each_match(rule, structure, store, delta, stats, gov, p.trace(), emit);
-            p.end_pass(
-                ri,
-                &before,
-                stats,
-                timer.map(|t| t.elapsed().as_nanos() as u64),
-            );
-            stop
-        }
-        _ => for_each_match(rule, structure, store, delta, stats, gov, None, emit),
-    }
-}
-
-/// Enumerates all substitutions satisfying `rule`'s body and yields the
-/// instantiated head arguments. Returns `true` when the governor tripped
-/// and the caller should unwind.
-///
-/// `delta`: if `Some((pos, set))`, the body literal at `pos` must match a
-/// tuple in `set` (semi-naive restriction).
-#[allow(clippy::too_many_arguments)]
-fn for_each_match(
-    rule: &Rule,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    trace: Option<&mut [LitCount]>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    let mut bindings: Vec<Option<ElemId>> = vec![None; rule.var_count as usize];
-
-    // Literal processing order: positives in body order (no reordering —
-    // this is the scan oracle), negatives once all positives are matched.
-    let positives: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.positive)
-        .map(|(i, _)| i)
-        .collect();
-    let negatives: Vec<usize> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.positive)
-        .map(|(i, _)| i)
-        .collect();
-
-    descend(
-        rule,
-        structure,
-        store,
-        delta,
-        &positives,
-        0,
-        &negatives,
-        &mut bindings,
-        stats,
-        gov,
-        trace,
-        emit,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    rule: &Rule,
-    structure: &Structure,
-    store: &IdbStore,
-    delta: Option<(usize, &DeltaSet)>,
-    positives: &[usize],
-    next: usize,
-    negatives: &[usize],
-    bindings: &mut Vec<Option<ElemId>>,
-    stats: &mut EvalStats,
-    gov: &mut Governor<'_>,
-    mut trace: Option<&mut [LitCount]>,
-    emit: &mut dyn FnMut(Box<[ElemId]>),
-) -> bool {
-    if next == positives.len() {
-        // All positives matched; check negatives (safety guarantees all
-        // their variables are bound) and emit.
-        for &ni in negatives {
-            let lit = &rule.body[ni];
-            stats.negative_checks += 1;
-            let args =
-                instantiate(&lit.atom, bindings).expect("safe rule: negative literal fully bound");
-            let holds = match lit.atom.pred {
-                PredRef::Edb(p) => structure.holds(p, &args),
-                PredRef::Idb(_) => unreachable!(
-                    "negated intensional literal in the semipositive engine; use eval_stratified"
-                ),
-            };
-            if holds {
-                return false;
-            }
-        }
-        stats.firings += 1;
-        let head_args = instantiate(&rule.head, bindings).expect("safe rule: head bound");
-        emit(head_args);
-        return false;
-    }
-
-    let li = positives[next];
-    let lit = &rule.body[li];
-    let is_delta_pos = delta.is_some_and(|(pos, _)| pos == li);
-
-    // Enumerate candidate tuples for this literal.
-    let try_tuple = |tuple: &[ElemId],
-                     bindings: &mut Vec<Option<ElemId>>,
-                     stats: &mut EvalStats,
-                     gov: &mut Governor<'_>,
-                     mut trace: Option<&mut [LitCount]>,
-                     emit: &mut dyn FnMut(Box<[ElemId]>)|
-     -> bool {
-        stats.tuples_considered += 1;
-        if let Some(t) = trace.as_deref_mut() {
-            t[li].tuples_in += 1;
-        }
-        if gov.work(stats.tuples_considered, stats.facts) {
-            return true;
-        }
-        let mut stop = false;
-        let mut touched: Vec<Var> = Vec::new();
-        if unify(&lit.atom, tuple, bindings, &mut touched) {
-            if let Some(t) = trace.as_deref_mut() {
-                t[li].tuples_out += 1;
-            }
-            stop = descend(
-                rule,
-                structure,
-                store,
-                delta,
-                positives,
-                next + 1,
-                negatives,
-                bindings,
-                stats,
-                gov,
-                trace,
-                emit,
-            );
-        }
-        for v in touched {
-            bindings[v.index()] = None;
-        }
-        stop
-    };
-
-    // The scan engines enumerate whole relations on every non-delta
-    // literal — that is the point of the ablation. Count those scans so
-    // the three engines report comparable [`EvalStats`]; enumerating the
-    // delta (the semi-naive frontier) is not a full scan.
-    match (lit.atom.pred, is_delta_pos) {
-        (PredRef::Edb(p), _) => {
-            stats.full_scans += 1;
-            for tuple in structure.relation(p).iter() {
-                if try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit) {
-                    return true;
-                }
-            }
-        }
-        (PredRef::Idb(id), false) => {
-            stats.full_scans += 1;
-            for tuple in store.rels[id.index()].iter() {
-                if try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit) {
-                    return true;
-                }
-            }
-        }
-        (PredRef::Idb(id), true) => {
-            let (_, set) = delta.expect("delta position implies delta set");
-            for (tid, tuple) in set {
-                if *tid == id && try_tuple(tuple, bindings, stats, gov, trace.as_deref_mut(), emit)
-                {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Tries to unify `atom` with `tuple` under the current bindings;
 /// records newly bound variables in `touched`. Shared with the
 /// incremental-maintenance join executor.
@@ -1434,21 +896,11 @@ pub(crate) fn instantiate_into(atom: &Atom, bindings: &[Option<ElemId>], out: &m
     }
 }
 
-/// Instantiates an atom under complete bindings.
-fn instantiate(atom: &Atom, bindings: &[Option<ElemId>]) -> Option<Box<[ElemId]>> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(*c),
-            Term::Var(v) => bindings[v.index()],
-        })
-        .collect()
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
+    use crate::evaluator::{Engine, EvalError, EvalOptions, Evaluator};
+    use crate::ground::FdCatalog;
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, Signature};
     use std::sync::Arc;
@@ -1464,6 +916,12 @@ mod tests {
         s
     }
 
+    /// One evaluation through a fresh default session.
+    fn eval(p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+        let r = Evaluator::new(p.clone()).unwrap().evaluate(s).unwrap();
+        (r.store, r.stats)
+    }
+
     const TC: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).";
     const TC_NONLINEAR: &str = "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).";
 
@@ -1471,76 +929,68 @@ mod tests {
     fn transitive_closure_naive() {
         let s = chain(5);
         let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval_naive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let path = p.idb("path").unwrap();
         assert_eq!(store.tuples(path).len(), 4 + 3 + 2 + 1);
         assert!(store.holds(path, &[ElemId(0), ElemId(4)]));
         assert!(!store.holds(path, &[ElemId(4), ElemId(0)]));
     }
 
+    /// The minimal model of transitive closure over a chain, written out
+    /// directly: `path(i, j)` exactly for `i < j`.
     #[test]
     fn seminaive_agrees_with_naive() {
         let s = chain(7);
         let p = parse_program(TC, &s).unwrap();
-        let (naive, _) = eval_naive(&p, &s).unwrap();
-        let (semi, _) = eval_seminaive(&p, &s).unwrap();
-        let path = p.idb("path").unwrap();
-        assert_eq!(naive.tuples(path), semi.tuples(path));
+        let (semi, _) = eval(&p, &s);
+        let expected: Vec<Vec<ElemId>> = (0..7u32)
+            .flat_map(|i| (i + 1..7).map(move |j| vec![ElemId(i), ElemId(j)]))
+            .collect();
+        assert_eq!(semi.tuples(p.idb("path").unwrap()), expected);
     }
 
-    #[test]
-    fn scan_engine_agrees_with_naive() {
-        let s = chain(7);
-        let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
-        let path = p.idb("path").unwrap();
-        assert_eq!(naive.tuples(path), scan.tuples(path));
-        assert_eq!(naive_stats.facts, scan_stats.facts);
-    }
-
+    /// Linear TC on the 12-chain: every firing derives a new fact. The
+    /// removed naive engine (all rules, every round) fired 572 times on
+    /// this workload at commit df44136.
     #[test]
     fn seminaive_fires_less_than_naive() {
+        const NAIVE_FIRINGS_AT_DF44136: usize = 572;
         let s = chain(12);
         let p = parse_program(TC, &s).unwrap();
-        let (_, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (_, semi_stats) = eval_seminaive(&p, &s).unwrap();
-        assert!(semi_stats.firings < naive_stats.firings);
-        assert_eq!(semi_stats.facts, naive_stats.facts);
+        let (_, semi_stats) = eval(&p, &s);
+        assert_eq!(semi_stats.facts, 66);
+        assert_eq!(semi_stats.firings, 66);
+        assert!(semi_stats.firings < NAIVE_FIRINGS_AT_DF44136);
     }
 
     /// Regression test for the semi-naive double-firing bug: with a rule
-    /// carrying two intensional body atoms, the scan engine runs one delta
-    /// pass per position against the already-updated store, so an
-    /// instantiation whose atoms both match delta tuples fires once per
-    /// pass. The rule split in the indexed engine fires it exactly once.
+    /// carrying two intensional body atoms, a delta pass per position
+    /// against the already-updated store fires an instantiation whose
+    /// atoms both match delta tuples once per pass. The rule split fires
+    /// it exactly once.
     ///
     /// On the 4-chain with nonlinear transitive closure the counts are
     /// small enough to pin exactly. Round 0 fires the base rule 3 times;
     /// round 1 joins the delta {p01,p12,p23} with itself — instantiations
-    /// (p01,p12) and (p12,p23) are all-delta, so the split engine fires
-    /// them once (2 firings) while the scan engine fires them in both
-    /// passes (4 firings); round 2 has two genuinely distinct derivations
-    /// of p03 (via p02⋈p23 and p01⋈p13) in both engines; round 3 fires
-    /// nothing. Totals: 3+2+2 = 7 indexed, 3+4+2 = 9 scan.
+    /// (p01,p12) and (p12,p23) are all-delta, so the split fires them
+    /// once (2 firings) where an unsplit engine fires them in both passes
+    /// (4 firings); round 2 has two genuinely distinct derivations of p03
+    /// (via p02⋈p23 and p01⋈p13); round 3 fires nothing. Totals: 3+2+2 =
+    /// 7 split, 3+4+2 = 9 unsplit (the removed scan engine's count at
+    /// commit df44136).
     #[test]
     fn two_idb_atoms_fire_once_per_instantiation() {
+        const SCAN_FIRINGS_AT_DF44136: usize = 9;
         let s = chain(4);
         let p = parse_program(TC_NONLINEAR, &s).unwrap();
-        let (indexed_store, indexed) = eval_seminaive(&p, &s).unwrap();
-        let (scan_store, scan) = eval_seminaive_scan(&p, &s).unwrap();
-        let path = p.idb("path").unwrap();
-        assert_eq!(indexed_store.tuples(path), scan_store.tuples(path));
-        assert_eq!(indexed.facts, 6);
-        assert_eq!(scan.facts, 6);
+        let (store, stats) = eval(&p, &s);
+        assert_eq!(store.tuples(p.idb("path").unwrap()).len(), 6);
+        assert_eq!(stats.facts, 6);
         assert_eq!(
-            indexed.firings, 7,
+            stats.firings, 7,
             "rule split must fire all-delta instantiations once"
         );
-        assert_eq!(
-            scan.firings, 9,
-            "scan oracle keeps the seed double-firing behavior"
-        );
+        assert!(stats.firings < SCAN_FIRINGS_AT_DF44136);
     }
 
     /// On delta-bound literals the indexed engine must probe, not scan:
@@ -1550,7 +1000,7 @@ mod tests {
     fn delta_passes_probe_instead_of_scanning() {
         let s = chain(50);
         let p = parse_program(TC, &s).unwrap();
-        let (_, stats) = eval_seminaive(&p, &s).unwrap();
+        let (_, stats) = eval(&p, &s);
         assert_eq!(
             stats.full_scans, 2,
             "only the unconstrained round-0 scans remain"
@@ -1570,32 +1020,29 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let skip = p.idb("skip").unwrap();
         assert!(store.holds(skip, &[ElemId(0), ElemId(2)]));
         assert!(!store.holds(skip, &[ElemId(0), ElemId(1)]));
     }
 
-    /// The parser accepts stratified programs, so the semipositive
-    /// engines must reject a negated intensional atom at entry with a
-    /// typed [`EvalError::NotSemipositive`], not a panic (the seed
-    /// behavior) or an `unreachable!` mid-join.
+    /// The parser accepts stratified programs, so a semipositive-only
+    /// engine (quasi-guarded) must reject a negated intensional atom at
+    /// session construction with a typed error, not a panic mid-join.
     #[test]
     fn semipositive_engine_rejects_stratified_programs_with_typed_error() {
         let s = chain(3);
         let p = parse_program("q(X) :- e(X, Y), !r(X). r(X) :- e(X, X).", &s).unwrap();
-        for result in [
-            eval_naive(&p, &s),
-            eval_seminaive(&p, &s),
-            eval_seminaive_scan(&p, &s),
-        ] {
-            let err = result.unwrap_err();
-            assert!(
-                matches!(&err, EvalError::NotSemipositive { message } if !message.is_empty()),
-                "{err:?}"
-            );
-            assert!(err.to_string().contains("semipositive engine"));
-        }
+        let err = Evaluator::with_options(p, EvalOptions::new().fd_catalog(FdCatalog::new()))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::NeedsStratifiedEngine {
+                engine: Engine::QuasiGuarded,
+                strata: 2
+            }
+        );
+        assert!(err.to_string().contains("semipositive programs only"));
     }
 
     #[test]
@@ -1607,7 +1054,7 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let g = p.idb("reachable").unwrap();
         assert!(store.holds(g, &[]));
     }
@@ -1616,7 +1063,7 @@ mod tests {
     fn constants_in_rules() {
         let s = chain(4);
         let p = parse_program("from_start(Y) :- e(x0, Y).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let q = p.idb("from_start").unwrap();
         assert_eq!(store.unary(q), vec![ElemId(1)]);
     }
@@ -1625,7 +1072,7 @@ mod tests {
     fn facts_in_program() {
         let s = chain(3);
         let p = parse_program("mark(x1). marked2(X) :- mark(X), e(X, Y).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let m2 = p.idb("marked2").unwrap();
         assert_eq!(store.unary(m2), vec![ElemId(1)]);
     }
@@ -1639,7 +1086,7 @@ mod tests {
         s.insert(e, &[ElemId(0), ElemId(0)]);
         s.insert(e, &[ElemId(0), ElemId(1)]);
         let p = parse_program("loop(X) :- e(X, X).", &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         let l = p.idb("loop").unwrap();
         assert_eq!(store.unary(l), vec![ElemId(0)]);
     }
@@ -1650,7 +1097,7 @@ mod tests {
         let dom = Domain::anonymous(2);
         let s = Structure::new(sig, dom);
         let p = parse_program(TC, &s).unwrap();
-        let (store, stats) = eval_seminaive(&p, &s).unwrap();
+        let (store, stats) = eval(&p, &s);
         assert_eq!(store.fact_count(), 0);
         assert_eq!(stats.facts, 0);
     }
@@ -1659,12 +1106,14 @@ mod tests {
     fn holds_named_uses_interned_names() {
         let s = chain(4);
         let p = parse_program(TC, &s).unwrap();
-        let (store, _) = eval_seminaive(&p, &s).unwrap();
+        let (store, _) = eval(&p, &s);
         assert!(store.holds_named("path", &[ElemId(0), ElemId(3)]));
         assert!(!store.holds_named("path", &[ElemId(3), ElemId(0)]));
         assert!(!store.holds_named("no_such_predicate", &[ElemId(0)]));
     }
 
+    /// Semi-naive and quasi-guarded sessions compute the same least
+    /// fixpoint of a mutual recursion, and both match the closed form.
     #[test]
     fn mutual_recursion_same_fixpoint_across_engines() {
         let sig = Arc::new(Signature::from_pairs([("succ", 2), ("zero", 1)]));
@@ -1682,13 +1131,17 @@ mod tests {
             &s,
         )
         .unwrap();
-        let (naive, _) = eval_naive(&p, &s).unwrap();
-        let (indexed, _) = eval_seminaive(&p, &s).unwrap();
-        let (scan, _) = eval_seminaive_scan(&p, &s).unwrap();
-        for name in ["even", "odd"] {
+        let (indexed, _) = eval(&p, &s);
+        let mut qg_session =
+            Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(FdCatalog::new()))
+                .unwrap();
+        assert_eq!(qg_session.engine(), Engine::QuasiGuarded);
+        let qg = qg_session.evaluate(&s).unwrap().store;
+        for (name, first) in [("even", 0u32), ("odd", 1)] {
             let id = p.idb(name).unwrap();
-            assert_eq!(naive.tuples(id), indexed.tuples(id), "{name}");
-            assert_eq!(naive.tuples(id), scan.tuples(id), "{name}");
+            let expected: Vec<ElemId> = (first..8).step_by(2).map(ElemId).collect();
+            assert_eq!(indexed.unary(id), expected, "{name}");
+            assert_eq!(qg.unary(id), expected, "{name}");
         }
     }
 }

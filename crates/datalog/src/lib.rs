@@ -18,13 +18,14 @@
 //! construction — and call [`Evaluator::evaluate`] per structure; the
 //! session owns its [`PlanCache`] and recycles the engine scratch
 //! buffers, which is what makes the paper's per-candidate and
-//! per-structure workloads cheap. The historical `eval_*` free functions
-//! survive as deprecated one-shot wrappers. Under the session layer:
+//! per-structure workloads cheap. It is the only way to evaluate: the
+//! options pick one of two engines — the indexed semi-naive kernel, or
+//! the quasi-guarded pipeline when an [`FdCatalog`] is attached. Under
+//! the session layer:
 //!
 //! * [`ast`] / [`parser`] — programs as data or text;
-//! * [`eval`] — naive and semi-naive least-fixpoint evaluation (the
-//!   reference semantics of §2.4). The semi-naive engine executes per-rule
-//!   join plans over the arena-backed secondary-index layer of
+//! * [`eval`] — semi-naive least-fixpoint evaluation (the semantics of
+//!   §2.4). The engine executes per-rule join plans over the arena-backed secondary-index layer of
 //!   [`mdtw_structure`]: body literals probe argument-position hash
 //!   indexes instead of scanning relations, the frontier is a set of
 //!   per-predicate delta relations plugged into the same index layer, and
@@ -44,7 +45,7 @@
 //!   predicate dependency graph (positive/negative edges), Tarjan SCC
 //!   condensation, stratum assignment with a precise
 //!   [`StratificationError`] when a negative edge closes a recursive
-//!   cycle, and [`eval_stratified`] — bottom-up multi-stratum evaluation
+//!   cycle, and bottom-up multi-stratum evaluation
 //!   that materializes each stratum into the arena-backed relation layer
 //!   so higher strata read it as EDB, reusing the indexed join loop and
 //!   the plan cache unchanged;
@@ -63,7 +64,7 @@
 //! * [`span`](mod@crate::span) — byte-span + line/column source
 //!   locations, recorded by the parser for every rule, head and literal;
 //! * [`profile`](mod@crate::profile) — the observability layer: a
-//!   zero-cost-when-off profiler threaded through every engine
+//!   zero-cost-when-off profiler threaded through both engines
 //!   ([`EvalOptions::profile`] → [`ProfileDetail`]), collecting a
 //!   structured [`EvalProfile`] (per-stratum timeline, per-rule
 //!   breakdown, per-literal observed selectivities) returned on
@@ -109,9 +110,9 @@ pub use analysis::{
     SemanticReport, Severity,
 };
 pub use ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
-pub use cache::{global_plan_cache, PlanCache};
+pub use cache::PlanCache;
 pub use eval::{EvalStats, IdbStore};
-pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator, StatsDetail};
+pub use evaluator::{Engine, EvalError, EvalOptions, EvalResult, Evaluator};
 pub use ground::{ground, FdCatalog, FuncDep, Grounding, QgError, QgStats};
 pub use horn::{HornProgram, HornRule};
 pub use incremental::{MaterializedView, Update};
@@ -134,16 +135,3 @@ pub use transform::{
     optimize, optimize_with_limits, redundant_rules, redundant_rules_with_limits, BoundedScc,
     MagicOutcome, MinimizeReport, TransformSummary,
 };
-
-// The seven historical one-shot entry points, kept importable from the
-// crate root so the legacy-oracle test suites (and downstream pins) keep
-// compiling. Each is a thin deprecated wrapper over one Evaluator-shaped
-// evaluation.
-#[allow(deprecated)]
-pub use cache::eval_seminaive_with_cache;
-#[allow(deprecated)]
-pub use eval::{eval_naive, eval_seminaive, eval_seminaive_scan};
-#[allow(deprecated)]
-pub use ground::eval_quasi_guarded;
-#[allow(deprecated)]
-pub use stratify::{eval_stratified, eval_stratified_with_cache};

@@ -1,7 +1,7 @@
 //! Stratified negation: predicate dependency analysis and the
 //! multi-stratum evaluation pipeline.
 //!
-//! The core engines of [`eval`](crate::eval) are *semipositive* — negation
+//! The semi-naive engine of [`eval`](crate::eval) is *semipositive* — negation
 //! may only be applied to extensional atoms. This module lifts that
 //! restriction to full **stratified datalog**:
 //!
@@ -15,7 +15,9 @@
 //!    [`StratificationError`] names the offending predicate cycle.
 //!    Safety (range restriction) and head checks run here too, so a
 //!    [`Stratification`] certifies the program is evaluable.
-//! 2. [`eval_stratified`] evaluates the strata bottom-up. Each stratum is
+//! 2. The stratified driver behind
+//!    [`Evaluator::evaluate`](crate::evaluator::Evaluator::evaluate)
+//!    evaluates the strata bottom-up. Each stratum is
 //!    turned into a semipositive sub-program by rewriting references to
 //!    lower-stratum predicates into *extensional* predicates of an
 //!    extended structure ([`Structure::extended`]) holding the lower
@@ -35,7 +37,7 @@
 //! join loop of [`eval`](crate::eval) is reused without modification.
 
 use crate::ast::{IdbId, PredRef, Program};
-use crate::cache::{global_plan_cache, plans_for, PlanCache};
+use crate::cache::PlanCache;
 use crate::eval::{run_seminaive_scratch, EvalStats, IdbStore, SeminaiveScratch};
 use crate::limits::{EvalLimits, Governor, LimitKind};
 use crate::profile::Profiler;
@@ -374,72 +376,6 @@ fn tarjan_sccs(n: usize, edges: &[DepEdge], adj: &[Vec<usize>]) -> (Vec<usize>, 
     (scc_of, scc_count)
 }
 
-/// Evaluates a stratified program bottom-up over the process-wide
-/// [`PlanCache`]; see [`eval_stratified_with_cache`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session \
-            (`Evaluator::new(program)?.evaluate(&structure)`), which stratifies once \
-            and auto-dispatches semipositive vs. multi-stratum"
-)]
-pub fn eval_stratified(
-    program: &Program,
-    structure: &Structure,
-) -> Result<(IdbStore, EvalStats), StratificationError> {
-    let strat = stratify(program)?;
-    let mut scratch = SeminaiveScratch::new(program);
-    let (store, stats, _) = run_stratified(
-        program,
-        &strat,
-        structure,
-        Some(global_plan_cache()),
-        &mut scratch,
-        &mut ExtensionMemo::default(),
-        None,
-        None,
-    );
-    Ok((store, stats))
-}
-
-/// Evaluates a stratified program bottom-up with an explicit plan cache.
-///
-/// Stratum 0 is semipositive as-is. For every higher stratum, references
-/// to lower-stratum predicates are rewritten to extensional predicates of
-/// an extended structure holding the lower strata's materialized
-/// relations, the rewritten sub-program is checked semipositive (the
-/// stratum-local invariant) and handed to the indexed semi-naive engine.
-/// On a semipositive input (a single stratum) this is exactly
-/// [`eval_seminaive_with_cache`](crate::cache::eval_seminaive_with_cache):
-/// same plans, same store, same statistics.
-///
-/// The returned [`EvalStats`] accumulates the per-stratum counters
-/// (`rounds` is the total across strata, `plan_cache_hits` counts per
-/// stratum) and reports the stratum count in [`EvalStats::strata`].
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an `Evaluator` session, which owns its `PlanCache` \
-            (`Evaluator::new(program)?.evaluate(&structure)`)"
-)]
-pub fn eval_stratified_with_cache(
-    program: &Program,
-    structure: &Structure,
-    cache: &PlanCache,
-) -> Result<(IdbStore, EvalStats), StratificationError> {
-    let strat = stratify(program)?;
-    let mut scratch = SeminaiveScratch::new(program);
-    let (store, stats, _) = run_stratified(
-        program,
-        &strat,
-        structure,
-        Some(cache),
-        &mut scratch,
-        &mut ExtensionMemo::default(),
-        None,
-        None,
-    );
-    Ok((store, stats))
-}
-
 /// Memoized per-signature extension setup for the stratified pipeline:
 /// which intensional predicates higher strata read, the extended
 /// [`Signature`] materializing them as fresh extensional predicates
@@ -523,11 +459,18 @@ impl ExtensionMemo {
 }
 
 /// The stratified pipeline proper, over a *precomputed* stratification
-/// and session-recycled scratch buffers — the shared engine behind the
-/// deprecated [`eval_stratified`]/[`eval_stratified_with_cache`] wrappers
-/// and [`Evaluator`](crate::evaluator::Evaluator) sessions (which
-/// stratify once at construction and reuse the certificate across
-/// evaluations). `cache` is `None` when plan caching is disabled.
+/// and session-recycled scratch buffers — the engine behind
+/// [`Evaluator`](crate::evaluator::Evaluator) sessions, which stratify
+/// once at construction and reuse the certificate across evaluations.
+///
+/// Stratum 0 is semipositive as-is. For every higher stratum, references
+/// to lower-stratum predicates are rewritten to extensional predicates of
+/// an extended structure holding the lower strata's materialized
+/// relations, and the rewritten sub-program is handed to the indexed
+/// semi-naive engine. The returned [`EvalStats`] accumulates the
+/// per-stratum counters (`rounds` is the total across strata,
+/// `plan_cache_hits` counts per stratum) and reports the stratum count in
+/// [`EvalStats::strata`].
 ///
 /// The third return element is the tripped [`LimitKind`], if `limits`
 /// governed the run and a limit tripped. On a trip the store holds every
@@ -539,7 +482,7 @@ pub(crate) fn run_stratified(
     program: &Program,
     strat: &Stratification,
     structure: &Structure,
-    cache: Option<&PlanCache>,
+    cache: &PlanCache,
     scratch: &mut SeminaiveScratch,
     memo: &mut ExtensionMemo,
     limits: Option<&EvalLimits>,
@@ -548,7 +491,7 @@ pub(crate) fn run_stratified(
     if strat.stratum_count() <= 1 {
         // Semipositive fast path: no rewriting, no structure extension.
         crate::eval::debug_assert_semipositive(program);
-        let (plans, hit) = plans_for(program, structure, cache);
+        let (plans, hit) = cache.plans(program, structure);
         let stats = EvalStats {
             plan_cache_hits: usize::from(hit),
             strata: strat.stratum_count(),
@@ -615,7 +558,7 @@ pub(crate) fn run_stratified(
                 "stratum rewrite must produce a semipositive sub-program"
             );
 
-            let (plans, hit) = plans_for(&sub, &ext_structure, cache);
+            let (plans, hit) = cache.plans(&sub, &ext_structure);
             let stats = EvalStats {
                 plan_cache_hits: usize::from(hit),
                 ..EvalStats::default()
@@ -712,11 +655,10 @@ pub(crate) fn rule_stratum(strat: &Stratification, program: &Program, rule: usiz
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // unit tests of the deprecated one-shot wrappers themselves
 mod tests {
     use super::*;
     use crate::ast::{Atom, Literal, Rule, Term, Var};
-    use crate::eval::eval_seminaive;
+    use crate::evaluator::Evaluator;
     use crate::parser::parse_program;
     use mdtw_structure::{Domain, ElemId, Signature};
     use std::sync::Arc;
@@ -741,6 +683,13 @@ mod tests {
     const UNREACH: &str = "reach(X) :- first(X).\n\
                            reach(Y) :- reach(X), e(X, Y).\n\
                            unreach(X) :- node(X), !reach(X).";
+
+    /// One evaluation through a fresh session (which stratifies and
+    /// dispatches to the multi-stratum pipeline).
+    fn eval_stratified(p: &Program, s: &Structure) -> (IdbStore, EvalStats) {
+        let r = Evaluator::new(p.clone()).unwrap().evaluate(s).unwrap();
+        (r.store, r.stats)
+    }
 
     #[test]
     fn semipositive_program_is_single_stratum() {
@@ -786,7 +735,7 @@ mod tests {
         s.insert(first, &[ElemId(0)]);
 
         let p = parse_program(UNREACH, &s).unwrap();
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = eval_stratified(&p, &s);
         let unreach = p.idb("unreach").unwrap();
         assert_eq!(store.unary(unreach), vec![ElemId(3), ElemId(4), ElemId(5)]);
         assert_eq!(stats.strata, 2);
@@ -804,7 +753,7 @@ mod tests {
         .unwrap();
         let strat = stratify(&p).unwrap();
         assert_eq!(strat.stratum_count(), 3);
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = eval_stratified(&p, &s);
         assert_eq!(stats.strata, 3);
         // Whole chain reachable from 0 → unreach empty → settled is
         // everything but the first node.
@@ -814,27 +763,6 @@ mod tests {
             (1u32..5).map(ElemId).collect::<Vec<_>>()
         );
         assert!(store.unary(p.idb("unreach").unwrap()).is_empty());
-    }
-
-    #[test]
-    fn semipositive_matches_eval_seminaive_exactly() {
-        let s = chain(7);
-        let p = parse_program(
-            "path(X, Y) :- e(X, Y).\npath(X, Z) :- path(X, Y), e(Y, Z).\n\
-             skip(X, Y) :- path(X, Y), !e(X, Y).",
-            &s,
-        )
-        .unwrap();
-        let (semi, semi_stats) = eval_seminaive(&p, &s).unwrap();
-        let (strat, strat_stats) = eval_stratified(&p, &s).unwrap();
-        for idb in 0..p.idb_count() {
-            let id = IdbId(idb as u32);
-            assert_eq!(semi.tuples(id), strat.tuples(id));
-        }
-        assert_eq!(semi_stats.facts, strat_stats.facts);
-        assert_eq!(semi_stats.rounds, strat_stats.rounds);
-        assert_eq!(semi_stats.firings, strat_stats.firings);
-        assert_eq!(strat_stats.strata, 1);
     }
 
     /// Hand-built (the parser rejects it earlier): `p :- node, !q` and
@@ -885,7 +813,7 @@ mod tests {
         }
         let rendered = err.to_string();
         assert!(rendered.contains('p') && rendered.contains('q'));
-        assert!(eval_stratified(&p, &chain(3)).is_err());
+        assert!(Evaluator::new(p).is_err());
     }
 
     /// `win(X) :- e(X, Y), !win(Y)` — negation through the predicate's own
@@ -947,7 +875,7 @@ mod tests {
         let strat = stratify(&p).unwrap();
         assert_eq!(strat.stratum_count(), 2);
         assert_eq!(strat.stratum_of(p.idb("island").unwrap()), 1);
-        let (store, _) = eval_stratified(&p, &s).unwrap();
+        let (store, _) = eval_stratified(&p, &s);
         // Fully reachable chain: no unreach facts, no islands.
         assert_eq!(store.unary(p.idb("unreach").unwrap()), vec![]);
         assert!(store.tuples(p.idb("island").unwrap()).is_empty());
@@ -1053,7 +981,7 @@ mod tests {
             var_count: 1,
             var_names: vec!["X".into()],
         });
-        let (store, stats) = eval_stratified(&p, &s).unwrap();
+        let (store, stats) = eval_stratified(&p, &s);
         assert_eq!(stats.strata, 2);
         // Elements 0..3 have out-edges; only the last element is lone.
         assert_eq!(store.unary(lone), vec![ElemId(3)]);
@@ -1063,10 +991,10 @@ mod tests {
     fn stratified_hits_plan_cache_per_stratum() {
         let s = chain(8);
         let p = parse_program(UNREACH, &s).unwrap();
-        let cache = PlanCache::new();
-        let (_, first) = eval_stratified_with_cache(&p, &s, &cache).unwrap();
+        let mut session = Evaluator::new(p).unwrap();
+        let first = session.evaluate(&s).unwrap().stats;
         assert_eq!(first.plan_cache_hits, 0);
-        let (_, second) = eval_stratified_with_cache(&p, &s, &cache).unwrap();
+        let second = session.evaluate(&s).unwrap().stats;
         assert_eq!(
             second.plan_cache_hits, 2,
             "both strata reuse their compiled plans"

@@ -373,6 +373,51 @@ impl PosIndex {
             bucket[pos] = row;
         }
     }
+
+    /// Checks the index against its relation's arena: every row sits in
+    /// exactly one non-empty bucket, every bucket member carries the
+    /// bucket's key, and a probe with that key finds that bucket.
+    fn check(&self, arena: &[ElemId], arity: usize, rows: usize) -> Result<(), String> {
+        let at = &self.positions;
+        let mut seen = vec![false; rows];
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            let Some(&rep) = bucket.first() else {
+                return Err(format!("index on {at:?}: bucket {b} is empty"));
+            };
+            for &r in bucket {
+                match seen.get_mut(r as usize) {
+                    None => return Err(format!("index on {at:?}: row {r} is out of range")),
+                    Some(true) => return Err(format!("index on {at:?}: row {r} is listed twice")),
+                    Some(slot) => *slot = true,
+                }
+                if !self
+                    .key_of_row(arena, arity, r)
+                    .eq(self.key_of_row(arena, arity, rep))
+                {
+                    return Err(format!(
+                        "index on {at:?}: row {r} does not match the key of bucket {b}"
+                    ));
+                }
+            }
+            let key: Vec<ElemId> = self.key_of_row(arena, arity, rep).collect();
+            if !std::ptr::eq(self.rows_in(arena, arity, &key), bucket.as_slice()) {
+                return Err(format!(
+                    "index on {at:?}: a probe with bucket {b}'s key misses it"
+                ));
+            }
+        }
+        if let Some(r) = seen.iter().position(|&s| !s) {
+            return Err(format!("index on {at:?}: row {r} is in no bucket"));
+        }
+        if self.table.len != self.buckets.len() {
+            return Err(format!(
+                "index on {at:?}: key table counts {} keys for {} buckets",
+                self.table.len,
+                self.buckets.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One relation `R^𝒜 ⊆ A^α`: a deduplicated set of tuples with stable
@@ -709,6 +754,51 @@ impl Relation {
             seen.insert(packed);
         }
         seen.len()
+    }
+
+    /// Checks the storage invariants: the arena holds exactly `len()`
+    /// rows, every row is in the dedup table exactly once and is found
+    /// there by its content, and every cached [`PosIndex`] bucket lists
+    /// exactly the rows matching its key. Returns a description of the
+    /// first violation. Meant for tests; it walks the whole relation.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let arity = self.arity;
+        if self.arena.len() != self.rows * arity {
+            return Err(format!(
+                "arena holds {} cells for {} rows of arity {arity}",
+                self.arena.len(),
+                self.rows
+            ));
+        }
+        if self.table.len != self.rows {
+            return Err(format!(
+                "dedup table counts {} entries for {} rows",
+                self.table.len, self.rows
+            ));
+        }
+        let mut seen = vec![false; self.rows];
+        for &r in self.table.slots.iter().filter(|&&v| v != RowTable::EMPTY) {
+            match seen.get_mut(r as usize) {
+                None => return Err(format!("dedup table holds out-of-range row {r}")),
+                Some(true) => return Err(format!("row {r} is in the dedup table twice")),
+                Some(slot) => *slot = true,
+            }
+        }
+        if let Some(r) = seen.iter().position(|&s| !s) {
+            return Err(format!("row {r} is missing from the dedup table"));
+        }
+        for r in 0..self.rows as u32 {
+            if self.row_of(self.tuple(r)) != Some(r) {
+                return Err(format!(
+                    "row {r} {:?} is not found by its content",
+                    self.tuple(r)
+                ));
+            }
+        }
+        for idx in self.secondary.read().expect("index cache lock").values() {
+            idx.check(&self.arena, arity, self.rows)?;
+        }
+        Ok(())
     }
 
     /// Iterates over the tuples matching `key` on `index`'s positions.
@@ -1580,5 +1670,81 @@ mod tests {
         let idx = ext.relation(e).index_on(&[1]);
         assert_eq!(s.relation(e).rows_matching(&idx, &[v[1]]).len(), 2);
         assert!(ext.relation(e).shares_storage(s.relation(e)));
+    }
+
+    /// Retract-heavy churn (three retracts per insert) over a small
+    /// domain, with secondary indexes built before and during the churn:
+    /// after every operation the storage invariants hold and the
+    /// relation and its indexes agree with a plain set.
+    mod retract_heavy {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        const KEYS: [&[usize]; 3] = [&[0], &[1], &[1, 0]];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn relation_invariants_survive_retract_heavy_churn(
+                initial in vec((0u32..6, 0u32..6), 0..36),
+                ops in vec((0u8..5, 0u32..6, 0u32..6), 0..120),
+            ) {
+                let mut rel = Relation::new(2);
+                let mut shadow: BTreeSet<[ElemId; 2]> = BTreeSet::new();
+                for &(a, b) in &initial {
+                    let t = [ElemId(a), ElemId(b)];
+                    prop_assert_eq!(rel.insert(&t), shadow.insert(t));
+                }
+                rel.index_on(KEYS[0]);
+                for &(op, a, b) in &ops {
+                    let t = [ElemId(a), ElemId(b)];
+                    match op {
+                        0 => prop_assert_eq!(rel.insert(&t), shadow.insert(t)),
+                        4 => {
+                            rel.index_on(KEYS[a as usize % KEYS.len()]);
+                        }
+                        _ => prop_assert_eq!(rel.retract(&t), shadow.remove(&t)),
+                    }
+                    if let Err(e) = rel.check_invariants() {
+                        panic!("after op {op} on {t:?}: {e}");
+                    }
+                    let stored: BTreeSet<[ElemId; 2]> =
+                        rel.iter().map(|t| [t[0], t[1]]).collect();
+                    prop_assert_eq!(&stored, &shadow);
+                    prop_assert_eq!(rel.len(), shadow.len());
+                }
+                for positions in KEYS {
+                    let idx = rel.index_on(positions);
+                    for a in 0..6u32 {
+                        let key = vec![ElemId(a); positions.len()];
+                        let mut got: Vec<[ElemId; 2]> =
+                            rel.matching(&idx, &key).map(|t| [t[0], t[1]]).collect();
+                        got.sort_unstable();
+                        let want: Vec<[ElemId; 2]> = shadow
+                            .iter()
+                            .filter(|t| positions.iter().all(|&p| t[p] == ElemId(a)))
+                            .copied()
+                            .collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
+
+        /// The checker is not vacuous: a dedup table that lost a row is
+        /// reported.
+        #[test]
+        fn corrupted_dedup_table_is_reported() {
+            let mut rel = Relation::new(1);
+            rel.insert(&[ElemId(0)]);
+            rel.insert(&[ElemId(1)]);
+            assert_eq!(rel.check_invariants(), Ok(()));
+            let slot = rel.table.slots.iter().position(|&v| v == 1).unwrap();
+            rel.table.slots[slot] = RowTable::EMPTY;
+            rel.table.len -= 1;
+            assert!(rel.check_invariants().is_err());
+        }
     }
 }

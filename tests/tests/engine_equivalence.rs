@@ -1,164 +1,24 @@
-//! Property test: the three evaluation engines — naive (the executable
-//! minimal-model definition), the pre-index scan engine (kept as oracle),
-//! and the indexed semi-naive engine — compute identical least fixpoints
-//! and identical distinct-fact counts on randomly generated semipositive
-//! programs over randomly generated structures.
-//!
-//! This is the **legacy-oracle suite**: it deliberately keeps calling the
-//! deprecated `eval_*` one-shot wrappers so the `Evaluator` session API
-//! can be pinned bit-identical to them — every [`Engine`] variant of a
-//! *reused* session (cache cold and warm) must agree with the
-//! corresponding free function on the same random matrix.
-#![allow(deprecated)]
+//! Property test: the indexed semi-naive engine, through one reused
+//! `Evaluator` session (plan cache cold and warm), computes exactly the
+//! least fixpoint of the brute-force [`oracle`] on randomly generated
+//! semipositive programs over randomly generated structures. The oracle
+//! enumerates every variable assignment and shares no join code with the
+//! engine. Deterministic pins cover multi-position index keys and the
+//! quasi-guarded engine.
 
-use mdtw_datalog::{
-    eval_naive, eval_seminaive, eval_seminaive_scan, Atom, Engine, EvalOptions, Evaluator, IdbId,
-    Literal, PredRef, Program, Rule, Term, Var,
-};
-use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
+use mdtw_datalog::{Engine, EvalOptions, Evaluator, IdbId};
+use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use mdtw_tests::{build_program, build_structure, oracle};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Raw material for one body literal: `(kind, arg, arg)`.
-type RawLit = (u8, u8, u8);
-/// Raw material for one rule:
-/// `(head pick, (head arg, head arg), positive body, negative pick)`.
-type RawRule = (u8, (u8, u8), Vec<RawLit>, RawLit);
-
-const NVARS: u8 = 3;
-
-fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
-    let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
-    let dom = Domain::anonymous(n);
-    let mut s = Structure::new(sig, dom);
-    let e = s.signature().lookup("e").unwrap();
-    let m = s.signature().lookup("m").unwrap();
-    for &(a, b) in edges {
-        s.insert(
-            e,
-            &[ElemId(a as u32 % n as u32), ElemId(b as u32 % n as u32)],
-        );
-    }
-    for &a in marks {
-        s.insert(m, &[ElemId(a as u32 % n as u32)]);
-    }
-    s
-}
-
-fn var(i: u8) -> Term {
-    Term::Var(Var((i % NVARS) as u32))
-}
-
-/// Builds a positive body literal from raw ints. Kinds: e/2, m/1, q0/1,
-/// q1/2 (IDB ids 0 and 1).
-fn positive_literal(raw: RawLit, e: PredId, m: PredId) -> Literal {
-    let (kind, a, b) = raw;
-    let atom = match kind % 4 {
-        0 => Atom {
-            pred: PredRef::Edb(e),
-            terms: vec![var(a), var(b)],
-        },
-        1 => Atom {
-            pred: PredRef::Edb(m),
-            terms: vec![var(a)],
-        },
-        2 => Atom {
-            pred: PredRef::Idb(IdbId(0)),
-            terms: vec![var(a)],
-        },
-        _ => Atom {
-            pred: PredRef::Idb(IdbId(1)),
-            terms: vec![var(a), var(b)],
-        },
-    };
-    Literal {
-        atom,
-        positive: true,
-    }
-}
-
-/// Builds a random but always-safe semipositive program: head variables
-/// and negative-literal variables are drawn from the variables of the
-/// positive body (never empty: the generator emits 1–3 positive literals,
-/// each with at least one variable), so `Rule::is_safe` holds by
-/// construction.
-fn build_program(raw_rules: &[RawRule], structure: &Structure) -> Program {
-    let e = structure.signature().lookup("e").unwrap();
-    let m = structure.signature().lookup("m").unwrap();
-    let mut program = Program::default();
-    program.intern_idb("q0", 1).unwrap();
-    program.intern_idb("q1", 2).unwrap();
-
-    for (head_pick, (h1, h2), body_raw, neg_raw) in raw_rules {
-        let body: Vec<Literal> = body_raw
-            .iter()
-            .map(|&raw| positive_literal(raw, e, m))
-            .collect();
-        let mut pos_vars: Vec<Var> = body
-            .iter()
-            .flat_map(|l| l.atom.vars().collect::<Vec<_>>())
-            .collect();
-        pos_vars.sort();
-        pos_vars.dedup();
-        debug_assert!(!pos_vars.is_empty(), "every positive literal has a var");
-        let pick = |sel: u8| Term::Var(pos_vars[sel as usize % pos_vars.len()]);
-
-        let head = if head_pick % 2 == 0 {
-            Atom {
-                pred: PredRef::Idb(IdbId(0)),
-                terms: vec![pick(*h1)],
-            }
-        } else {
-            Atom {
-                pred: PredRef::Idb(IdbId(1)),
-                terms: vec![pick(*h1), pick(*h2)],
-            }
-        };
-
-        let mut body = body;
-        let (nkind, na, nb) = *neg_raw;
-        // Negation only on EDB atoms (semipositive fragment), with
-        // variables from the positive body (safety).
-        match nkind % 3 {
-            0 => {}
-            1 => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(e),
-                    terms: vec![pick(na), pick(nb)],
-                },
-                positive: false,
-            }),
-            _ => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(m),
-                    terms: vec![pick(na)],
-                },
-                positive: false,
-            }),
-        }
-
-        let rule = Rule {
-            head,
-            body,
-            var_count: NVARS as u32,
-            var_names: vec!["X".into(), "Y".into(), "Z".into()],
-        };
-        assert!(rule.is_safe(), "generator must only build safe rules");
-        program.rules.push(rule);
-    }
-    program
-        .check_semipositive()
-        .expect("generator must only build semipositive programs");
-    program
-}
-
-/// Deterministic pin of indexed-vs-scan-vs-naive agreement on a program
-/// whose joins carry multi-position index keys over a ternary relation:
-/// the recursive rule binds two of `t`'s argument positions before the
+/// Deterministic pin of indexed-vs-oracle agreement on a program whose
+/// joins carry multi-position index keys over a ternary relation: the
+/// recursive rule binds two of `t`'s argument positions before the
 /// probe, and the projection rule probes `t` on all three. Exercises the
 /// packed multi-`ElemId` key path of [`mdtw_structure::PosIndex`], which
-/// the random generator above (arities ≤ 2) cannot reach.
+/// the random generator (arities ≤ 2) cannot reach.
 #[test]
 fn multi_position_keys_agree_across_engines_arity_3() {
     use mdtw_datalog::parse_program;
@@ -180,48 +40,34 @@ fn multi_position_keys_agree_across_engines_arity_3() {
     )
     .unwrap();
 
-    let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-    let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
-    let (indexed, indexed_stats) = eval_seminaive(&p, &s).unwrap();
-
+    let expected = oracle(&p, &s);
+    let indexed = Evaluator::new(p.clone()).unwrap().evaluate(&s).unwrap();
     for name in ["tri", "pin"] {
         let id = p.idb(name).unwrap();
-        assert!(!naive.tuples(id).is_empty(), "{name} must derive facts");
-        assert_eq!(naive.tuples(id), scan.tuples(id), "scan vs naive: {name}");
+        assert!(!expected[id.index()].is_empty(), "{name} must derive facts");
         assert_eq!(
-            naive.tuples(id),
-            indexed.tuples(id),
-            "indexed vs naive: {name}"
+            indexed.store.tuples(id),
+            expected[id.index()],
+            "indexed vs oracle: {name}"
         );
     }
-    assert_eq!(naive_stats.facts, scan_stats.facts);
-    assert_eq!(naive_stats.facts, indexed_stats.facts);
-    assert!(indexed_stats.firings <= scan_stats.firings);
+    assert_eq!(
+        indexed.stats.facts,
+        expected.iter().map(Vec::len).sum::<usize>()
+    );
     assert!(
-        indexed_stats.index_probes > 0,
+        indexed.stats.index_probes > 0,
         "multi-position joins must probe, not scan"
     );
-
-    // All three engines now populate the work counters, so their access
-    // patterns are directly comparable: the scan engines enumerate whole
-    // relations where the indexed engine probes.
-    for (label, st) in [("naive", &naive_stats), ("scan", &scan_stats)] {
-        assert!(st.full_scans > 0, "{label} engine counts its scans");
-        assert!(
-            st.tuples_considered > 0,
-            "{label} engine counts candidate tuples"
-        );
-        assert_eq!(st.index_probes, 0, "{label} engine never probes");
-    }
-    assert!(indexed_stats.tuples_considered > 0);
-    assert!(
-        indexed_stats.tuples_considered < scan_stats.tuples_considered,
-        "probing must consider strictly fewer candidates than scanning"
-    );
+    assert!(indexed.stats.tuples_considered > 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+    /// One reused indexed session per random program/structure: the
+    /// cold and the warm evaluation both match the oracle, agree on
+    /// every work counter but the cache hit, and the warm one reuses the
+    /// compiled plans.
     #[test]
     fn engines_compute_identical_fixpoints(
         n in 2usize..6,
@@ -239,99 +85,40 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        let (naive, naive_stats) = eval_naive(&p, &s).unwrap();
-        let (scan, scan_stats) = eval_seminaive_scan(&p, &s).unwrap();
-        let (indexed, indexed_stats) = eval_seminaive(&p, &s).unwrap();
+        let expected = oracle(&p, &s);
+        let mut session = Evaluator::new(p.clone()).unwrap();
+        let cold = session.evaluate(&s).unwrap();
+        let warm = session.evaluate(&s).unwrap();
 
-        for idb in 0..p.idb_count() {
+        for (idb, expected_tuples) in expected.iter().enumerate() {
             let id = IdbId(idb as u32);
-            prop_assert_eq!(naive.tuples(id), scan.tuples(id), "scan vs naive, idb {}", idb);
-            prop_assert_eq!(naive.tuples(id), indexed.tuples(id), "indexed vs naive, idb {}", idb);
+            prop_assert_eq!(&cold.store.tuples(id), expected_tuples, "cold vs oracle, idb {}", idb);
+            prop_assert_eq!(&warm.store.tuples(id), expected_tuples, "warm vs oracle, idb {}", idb);
         }
-        prop_assert_eq!(naive.fact_count(), indexed.fact_count());
-        prop_assert_eq!(naive_stats.facts, scan_stats.facts);
-        prop_assert_eq!(naive_stats.facts, indexed_stats.facts);
-        // The rule split may only save work, never add it.
-        prop_assert!(indexed_stats.firings <= scan_stats.firings);
-    }
-
-    /// The same random program/structure matrix through every semipositive
-    /// `Engine` variant of ONE reused `Evaluator` each — cache cold
-    /// (first call) *and* warm (second call) — asserting bit-identical
-    /// `IdbStore`s against the corresponding legacy free function, and
-    /// pinning that a reused indexed session's second evaluation reports
-    /// `plan_cache_hits > 0`. (`Engine::QuasiGuarded` needs declared
-    /// functional dependencies the random matrix does not have; its
-    /// deterministic equivalence pin is `quasi_guarded_session_matches`
-    /// below.)
-    #[test]
-    fn evaluator_sessions_bit_identical_to_free_functions(
-        n in 2usize..6,
-        edges in vec((0u8..8, 0u8..8), 0..10),
-        marks in vec(0u8..8, 0..4),
-        raw_rules in vec(
-            (
-                0u8..4,
-                (0u8..8, 0u8..8),
-                vec((0u8..8, 0u8..8, 0u8..8), 1..4),
-                (0u8..6, 0u8..8, 0u8..8),
-            ),
-            1..5,
-        ),
-    ) {
-        let s = build_structure(n, &edges, &marks);
-        let p = build_program(&raw_rules, &s);
-        type FreeFn = fn(
-            &Program,
-            &Structure,
-        ) -> Result<
-            (mdtw_datalog::IdbStore, mdtw_datalog::EvalStats),
-            mdtw_datalog::EvalError,
-        >;
-        let legacy: [(Engine, FreeFn); 3] = [
-            (Engine::Naive, eval_naive),
-            (Engine::SemiNaiveScan, eval_seminaive_scan),
-            (Engine::SemiNaiveIndexed, eval_seminaive),
-        ];
-        for (engine, free_fn) in legacy {
-            let (free_store, free_stats) = free_fn(&p, &s).unwrap();
-            let mut session =
-                Evaluator::with_options(p.clone(), EvalOptions::new().engine(engine)).unwrap();
-            let cold = session.evaluate(&s).unwrap();
-            let warm = session.evaluate(&s).unwrap();
-            for idb in 0..p.idb_count() {
-                let id = IdbId(idb as u32);
-                prop_assert_eq!(
-                    free_store.tuples(id), cold.store.tuples(id),
-                    "{} cold vs free fn, idb {}", engine, idb
-                );
-                prop_assert_eq!(
-                    free_store.tuples(id), warm.store.tuples(id),
-                    "{} warm vs free fn, idb {}", engine, idb
-                );
-            }
-            prop_assert_eq!(free_stats.facts, cold.stats.facts, "{}", engine);
-            prop_assert_eq!(free_stats.facts, warm.stats.facts, "{}", engine);
-            prop_assert_eq!(free_stats.firings, cold.stats.firings, "{}", engine);
-            prop_assert_eq!(free_stats.firings, warm.stats.firings, "{}", engine);
-            if engine == Engine::SemiNaiveIndexed {
-                prop_assert_eq!(cold.stats.plan_cache_hits, 0, "session cache starts cold");
-                prop_assert!(
-                    warm.stats.plan_cache_hits > 0,
-                    "reused session must reuse compiled plans"
-                );
-            }
-        }
+        let total: usize = expected.iter().map(Vec::len).sum();
+        prop_assert_eq!(cold.store.fact_count(), total);
+        prop_assert_eq!(cold.stats.facts, total);
+        prop_assert_eq!(cold.stats.plan_cache_hits, 0, "session cache starts cold");
+        prop_assert!(
+            warm.stats.plan_cache_hits > 0,
+            "reused session must reuse compiled plans"
+        );
+        prop_assert_eq!(
+            mdtw_datalog::EvalStats { plan_cache_hits: 0, ..warm.stats },
+            cold.stats
+        );
     }
 }
 
-/// Deterministic `Engine::QuasiGuarded` leg of the session-vs-free-function
-/// matrix: the random generator cannot produce quasi-guarded programs (it
-/// declares no functional dependencies), so the equivalence is pinned on
-/// the chain-reachability workload of Theorem 4.4, cache cold and warm.
+/// The quasi-guarded session against the free grounding functions it is
+/// built from: [`mdtw_datalog::ground`] plus the LTUR least model of the
+/// ground Horn program, decoded by hand, on the chain-reachability
+/// workload of Theorem 4.4 (the random generator declares no functional
+/// dependencies, so it cannot produce quasi-guarded programs), cache
+/// cold and warm.
 #[test]
 fn quasi_guarded_session_matches_free_function() {
-    use mdtw_datalog::{eval_quasi_guarded, parse_program, FdCatalog};
+    use mdtw_datalog::{ground, parse_program, FdCatalog};
 
     let sig = Arc::new(Signature::from_pairs([("next", 2), ("first", 1)]));
     let n = 40usize;
@@ -353,7 +140,13 @@ fn quasi_guarded_session_matches_free_function() {
     catalog.declare(next, vec![0], vec![1]);
     catalog.declare(next, vec![1], vec![0]);
 
-    let (free_store, free_qg) = eval_quasi_guarded(&p, &s, &catalog).unwrap();
+    let grounding = ground(&p, &s, &catalog).unwrap();
+    let model = grounding.horn.least_model();
+    let free_holds = |name: &str, x: ElemId| {
+        grounding
+            .atom_id(p.idb(name).unwrap(), &[x])
+            .is_some_and(|a| model[a as usize])
+    };
     let mut session =
         Evaluator::with_options(p.clone(), EvalOptions::new().fd_catalog(catalog)).unwrap();
     assert_eq!(session.engine(), Engine::QuasiGuarded);
@@ -361,12 +154,18 @@ fn quasi_guarded_session_matches_free_function() {
     let warm = session.evaluate(&s).unwrap();
     for name in ["reach", "inner"] {
         let id = p.idb(name).unwrap();
-        assert_eq!(free_store.tuples(id), cold.store.tuples(id), "{name} cold");
-        assert_eq!(free_store.tuples(id), warm.store.tuples(id), "{name} warm");
+        let free: Vec<ElemId> = s
+            .domain()
+            .elems()
+            .filter(|&x| free_holds(name, x))
+            .collect();
+        assert!(!free.is_empty(), "{name} must derive facts");
+        assert_eq!(free, cold.store.unary(id), "{name} cold");
+        assert_eq!(free, warm.store.unary(id), "{name} warm");
     }
     for r in [&cold, &warm] {
         let qg = r.qg.expect("quasi-guarded sessions report QgStats");
-        assert_eq!(qg.ground_rules, free_qg.ground_rules);
-        assert_eq!(qg.ground_atoms, free_qg.ground_atoms);
+        assert_eq!(qg.ground_rules, grounding.stats.ground_rules);
+        assert_eq!(qg.ground_atoms, grounding.stats.ground_atoms);
     }
 }

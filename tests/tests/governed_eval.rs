@@ -6,8 +6,8 @@
 //! every completed stratum is bit-identical to it.
 
 use mdtw_datalog::{
-    parse_program, CancelToken, Engine, EvalError, EvalLimits, EvalOptions, EvalResult, Evaluator,
-    IdbId, LimitKind, Program,
+    parse_program, CancelToken, EvalError, EvalLimits, EvalOptions, EvalResult, Evaluator, IdbId,
+    LimitKind, Program,
 };
 use mdtw_structure::{Domain, ElemId, Signature, Structure};
 use proptest::prelude::*;
@@ -182,7 +182,6 @@ fn quasi_guarded_trip_carries_no_partial() {
     let result = Evaluator::with_options(
         p,
         EvalOptions::new()
-            .engine(Engine::QuasiGuarded)
             .fd_catalog(catalog)
             .limits(EvalLimits::new().trip_after_checks(1)),
     )

@@ -3,14 +3,16 @@
 //! must stay **bit-identical** to a from-scratch `evaluate()` of the
 //! mutated base structure — for a semipositive program (recursion plus
 //! negated extensional atoms in one stratum) and a three-stratum
-//! program whose deltas must cross two negation boundaries. Pinned
-//! edge cases cover the empty-delta no-op and retract-everything.
+//! program whose deltas must cross two negation boundaries. After every
+//! batch, every base and derived relation of the view also passes
+//! `Relation::check_invariants`. Pinned edge cases cover the
+//! empty-delta no-op and retract-everything.
 
 use mdtw_datalog::{parse_program, Evaluator, IdbId, MaterializedView, Update};
-use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
+use mdtw_structure::{ElemId, PredId, Structure};
+use mdtw_tests::build_structure;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Single stratum: recursion + negation on extensional atoms, so edge
 /// deltas flow through both the positive and the negated side.
@@ -27,24 +29,6 @@ const STRATIFIED: &str = "r(X) :- m(X).\n\
                           uu(X) :- u(X, Y).\n\
                           z(X) :- m(X), !uu(X).";
 
-fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
-    let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
-    let dom = Domain::anonymous(n);
-    let mut s = Structure::new(sig, dom);
-    let e = s.signature().lookup("e").unwrap();
-    let m = s.signature().lookup("m").unwrap();
-    for &(a, b) in edges {
-        s.insert(
-            e,
-            &[ElemId(a as u32 % n as u32), ElemId(b as u32 % n as u32)],
-        );
-    }
-    for &a in marks {
-        s.insert(m, &[ElemId(a as u32 % n as u32)]);
-    }
-    s
-}
-
 /// One base mutation: insert?/retract (odd = insert), edge?/mark
 /// (odd = edge), endpoints (taken modulo the domain size).
 type Mutation = (u8, u8, u8, u8);
@@ -56,12 +40,19 @@ fn sorted_rel(s: &Structure, p: PredId) -> Vec<Vec<ElemId>> {
 }
 
 /// The invariant: the view's base equals the independently mutated
-/// structure, and its store is bit-identical (per-predicate sorted
-/// tuple lists) to a cold evaluation of that structure.
+/// structure, its store is bit-identical (per-predicate sorted tuple
+/// lists) to a cold evaluation of that structure, and every base and
+/// derived relation passes the storage invariant check.
 fn assert_view_matches(view: &MaterializedView, expected: &Structure, ctx: &str) {
     let base = view.base_structure();
     for i in 0..expected.signature().len() {
         let p = PredId(i as u32);
+        if let Err(e) = base.relation(p).check_invariants() {
+            panic!(
+                "{ctx}: base relation `{}` broke an invariant: {e}",
+                expected.signature().name(p)
+            );
+        }
         assert_eq!(
             sorted_rel(&base, p),
             sorted_rel(expected, p),
@@ -73,6 +64,12 @@ fn assert_view_matches(view: &MaterializedView, expected: &Structure, ctx: &str)
     let result = fresh.evaluate(expected).unwrap();
     for i in 0..view.program().idb_count() {
         let id = IdbId(i as u32);
+        if let Err(e) = view.store().relation(id).check_invariants() {
+            panic!(
+                "{ctx}: derived `{}` broke an invariant: {e}",
+                view.program().idb_names[i]
+            );
+        }
         assert_eq!(
             view.store().tuples(id),
             result.store.tuples(id),

@@ -1,9 +1,9 @@
 //! Observability-layer pins: profiling must *observe* evaluation, never
 //! change it.
 //!
-//! * Property test (96 random semipositive programs × structures ×
-//!   engines): every [`ProfileDetail`] level produces a store and
-//!   [`EvalStats`] bit-identical to `ProfileDetail::Off`.
+//! * Property test (96 random semipositive programs × structures):
+//!   every [`ProfileDetail`] level produces a store and [`EvalStats`]
+//!   bit-identical to `ProfileDetail::Off`.
 //! * Fixture pins on the 3-stratum negation chain: per-rule firing
 //!   counts in the profile sum to `EvalStats::firings`, every positive
 //!   literal of every fired rule carries a selectivity observation, and
@@ -12,141 +12,14 @@
 //!   in its `Display`, and serializes it in the JSON error shape.
 
 use mdtw_datalog::{
-    eval_error_json, parse_program, Atom, Engine, EvalError, EvalLimits, EvalOptions, EvalProfile,
-    Evaluator, IdbId, Literal, PredRef, ProfileDetail, Program, Rule, Term, Var,
+    eval_error_json, parse_program, EvalError, EvalLimits, EvalOptions, EvalProfile, Evaluator,
+    IdbId, ProfileDetail, Program,
 };
-use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
+use mdtw_structure::{Domain, ElemId, Signature, Structure};
+use mdtw_tests::{build_program, build_structure};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Raw material for one body literal: `(kind, arg, arg)`.
-type RawLit = (u8, u8, u8);
-/// Raw material for one rule:
-/// `(head pick, (head arg, head arg), positive body, negative pick)`.
-type RawRule = (u8, (u8, u8), Vec<RawLit>, RawLit);
-
-const NVARS: u8 = 3;
-
-fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
-    let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
-    let dom = Domain::anonymous(n);
-    let mut s = Structure::new(sig, dom);
-    let e = s.signature().lookup("e").unwrap();
-    let m = s.signature().lookup("m").unwrap();
-    for &(a, b) in edges {
-        s.insert(
-            e,
-            &[ElemId(a as u32 % n as u32), ElemId(b as u32 % n as u32)],
-        );
-    }
-    for &a in marks {
-        s.insert(m, &[ElemId(a as u32 % n as u32)]);
-    }
-    s
-}
-
-fn var(i: u8) -> Term {
-    Term::Var(Var((i % NVARS) as u32))
-}
-
-/// Builds a positive body literal from raw ints. Kinds: e/2, m/1, q0/1,
-/// q1/2 (IDB ids 0 and 1).
-fn positive_literal(raw: RawLit, e: PredId, m: PredId) -> Literal {
-    let (kind, a, b) = raw;
-    let atom = match kind % 4 {
-        0 => Atom {
-            pred: PredRef::Edb(e),
-            terms: vec![var(a), var(b)],
-        },
-        1 => Atom {
-            pred: PredRef::Edb(m),
-            terms: vec![var(a)],
-        },
-        2 => Atom {
-            pred: PredRef::Idb(IdbId(0)),
-            terms: vec![var(a)],
-        },
-        _ => Atom {
-            pred: PredRef::Idb(IdbId(1)),
-            terms: vec![var(a), var(b)],
-        },
-    };
-    Literal {
-        atom,
-        positive: true,
-    }
-}
-
-/// Builds a random but always-safe semipositive program (same generator
-/// family as the engine-equivalence suite): head variables and
-/// negative-literal variables are drawn from the positive body.
-fn build_program(raw_rules: &[RawRule], structure: &Structure) -> Program {
-    let e = structure.signature().lookup("e").unwrap();
-    let m = structure.signature().lookup("m").unwrap();
-    let mut program = Program::default();
-    program.intern_idb("q0", 1).unwrap();
-    program.intern_idb("q1", 2).unwrap();
-
-    for (head_pick, (h1, h2), body_raw, neg_raw) in raw_rules {
-        let body: Vec<Literal> = body_raw
-            .iter()
-            .map(|&raw| positive_literal(raw, e, m))
-            .collect();
-        let mut pos_vars: Vec<Var> = body
-            .iter()
-            .flat_map(|l| l.atom.vars().collect::<Vec<_>>())
-            .collect();
-        pos_vars.sort();
-        pos_vars.dedup();
-        let pick = |sel: u8| Term::Var(pos_vars[sel as usize % pos_vars.len()]);
-
-        let head = if head_pick % 2 == 0 {
-            Atom {
-                pred: PredRef::Idb(IdbId(0)),
-                terms: vec![pick(*h1)],
-            }
-        } else {
-            Atom {
-                pred: PredRef::Idb(IdbId(1)),
-                terms: vec![pick(*h1), pick(*h2)],
-            }
-        };
-
-        let mut body = body;
-        let (nkind, na, nb) = *neg_raw;
-        match nkind % 3 {
-            0 => {}
-            1 => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(e),
-                    terms: vec![pick(na), pick(nb)],
-                },
-                positive: false,
-            }),
-            _ => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(m),
-                    terms: vec![pick(na)],
-                },
-                positive: false,
-            }),
-        }
-
-        let rule = Rule {
-            head,
-            body,
-            var_count: NVARS as u32,
-            var_names: vec!["X".into(), "Y".into(), "Z".into()],
-        };
-        assert!(rule.is_safe(), "generator must only build safe rules");
-        program.rules.push(rule);
-    }
-    program
-        .check_semipositive()
-        .expect("generator must only build semipositive programs");
-    program
-}
 
 /// The 3-stratum negation chain (the `stratified_reach` bench workload).
 const STRATIFIED_PROGRAM: &str = "reach(X) :- first(X).\nreach(Y) :- reach(X), e(X, Y).\n\
@@ -174,23 +47,19 @@ fn stratified_fixture(n: usize) -> (Structure, Program) {
 fn evaluate_at(
     program: &Program,
     structure: &Structure,
-    engine: Engine,
     detail: ProfileDetail,
 ) -> mdtw_datalog::EvalResult {
-    let mut session = Evaluator::with_options(
-        program.clone(),
-        EvalOptions::new().engine(engine).profile(detail),
-    )
-    .expect("semipositive program");
+    let mut session = Evaluator::with_options(program.clone(), EvalOptions::new().profile(detail))
+        .expect("semipositive program");
     session.evaluate(structure).expect("no limits, cannot trip")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Profiling is observation only: for every engine and every
-    /// `ProfileDetail` level, the store and the work counters are
-    /// bit-identical to a `ProfileDetail::Off` evaluation.
+    /// Profiling is observation only: at every `ProfileDetail` level,
+    /// the indexed session's store and work counters are bit-identical
+    /// to a `ProfileDetail::Off` evaluation.
     #[test]
     fn profiling_never_changes_store_or_stats(
         n in 2usize..6,
@@ -208,34 +77,30 @@ proptest! {
     ) {
         let s = build_structure(n, &edges, &marks);
         let p = build_program(&raw_rules, &s);
-        for engine in [Engine::Naive, Engine::SemiNaiveScan, Engine::SemiNaiveIndexed] {
-            let off = evaluate_at(&p, &s, engine, ProfileDetail::Off);
-            prop_assert!(off.profile.is_none(), "Off must not allocate a profile");
-            for detail in [ProfileDetail::Strata, ProfileDetail::Rules, ProfileDetail::Literals] {
-                let on = evaluate_at(&p, &s, engine, detail);
-                for idb in 0..p.idb_count() {
-                    let id = IdbId(idb as u32);
-                    prop_assert_eq!(
-                        off.store.tuples(id),
-                        on.store.tuples(id),
-                        "store must be bit-identical ({:?}, {:?}, idb {})",
-                        engine,
-                        detail,
-                        idb
-                    );
-                }
-                prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
+        let off = evaluate_at(&p, &s, ProfileDetail::Off);
+        prop_assert!(off.profile.is_none(), "Off must not allocate a profile");
+        for detail in [ProfileDetail::Strata, ProfileDetail::Rules, ProfileDetail::Literals] {
+            let on = evaluate_at(&p, &s, detail);
+            for idb in 0..p.idb_count() {
+                let id = IdbId(idb as u32);
                 prop_assert_eq!(
-                    off.stats,
-                    on.stats,
-                    "stats must be bit-identical ({:?}, {:?})",
-                    engine,
-                    detail
+                    off.store.tuples(id),
+                    on.store.tuples(id),
+                    "store must be bit-identical ({:?}, idb {})",
+                    detail,
+                    idb
                 );
-                let profile = on.profile.expect("profiling enabled");
-                prop_assert_eq!(profile.detail, detail);
-                prop_assert!(profile.trip_stratum.is_none());
             }
+            prop_assert_eq!(off.store.fact_count(), on.store.fact_count());
+            prop_assert_eq!(
+                off.stats,
+                on.stats,
+                "stats must be bit-identical ({:?})",
+                detail
+            );
+            let profile = on.profile.expect("profiling enabled");
+            prop_assert_eq!(profile.detail, detail);
+            prop_assert!(profile.trip_stratum.is_none());
         }
     }
 }
@@ -243,7 +108,7 @@ proptest! {
 #[test]
 fn per_rule_firings_sum_to_eval_stats() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, ProfileDetail::Rules);
+    let result = evaluate_at(&p, &s, ProfileDetail::Rules);
     let profile = result.profile.expect("profiling enabled");
     assert_eq!(profile.strata.len(), result.stats.strata);
     assert_eq!(profile.strata.len(), 3, "the fixture has three strata");
@@ -288,7 +153,7 @@ fn per_rule_firings_sum_to_eval_stats() {
 #[test]
 fn literal_detail_observes_every_positive_literal_of_fired_rules() {
     let (s, p) = stratified_fixture(24);
-    let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, ProfileDetail::Literals);
+    let result = evaluate_at(&p, &s, ProfileDetail::Literals);
     let profile = result.profile.expect("profiling enabled");
 
     let mut observed_rules = 0usize;
@@ -334,7 +199,7 @@ fn profiles_round_trip_through_json() {
         ProfileDetail::Rules,
         ProfileDetail::Literals,
     ] {
-        let result = evaluate_at(&p, &s, Engine::SemiNaiveIndexed, detail);
+        let result = evaluate_at(&p, &s, detail);
         let profile = result.profile.expect("profiling enabled");
         let json = profile.to_json();
         let rendered = json.render();

@@ -2,7 +2,7 @@
 //!
 //! * a property test that a default `Evaluator` session on random
 //!   *semipositive* programs takes the single-stratum fast path, matches
-//!   the naive ground truth, and is bit-identical when the session is
+//!   the brute-force oracle, and is bit-identical when the session is
 //!   reused (warm plan cache);
 //! * a property test that the stratified session agrees with an
 //!   independent brute-force per-stratum oracle on random *stratified*
@@ -11,112 +11,15 @@
 //!   expected models, checked against the same oracle.
 
 use mdtw_datalog::{
-    parse_program, stratify, Atom, Engine, EvalError, EvalOptions, Evaluator, IdbId, Literal,
-    PredRef, Program, Rule, StratificationError, Term, Var,
+    parse_program, stratify, Atom, EvalError, Evaluator, IdbId, Literal, PredRef, Program, Rule,
+    StratificationError, Term, Var,
 };
-use mdtw_structure::{Domain, ElemId, PredId, Signature, Structure};
+use mdtw_structure::{ElemId, Structure};
+use mdtw_tests::{
+    build_program, build_structure, oracle, positive_literal, var, RawLit, RawRule, NVARS,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashSet;
-use std::sync::Arc;
-
-const NVARS: u8 = 3;
-
-fn build_structure(n: usize, edges: &[(u8, u8)], marks: &[u8]) -> Structure {
-    let sig = Arc::new(Signature::from_pairs([("e", 2), ("m", 1)]));
-    let dom = Domain::anonymous(n);
-    let mut s = Structure::new(sig, dom);
-    let e = s.signature().lookup("e").unwrap();
-    let m = s.signature().lookup("m").unwrap();
-    for &(a, b) in edges {
-        s.insert(
-            e,
-            &[ElemId(a as u32 % n as u32), ElemId(b as u32 % n as u32)],
-        );
-    }
-    for &a in marks {
-        s.insert(m, &[ElemId(a as u32 % n as u32)]);
-    }
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Brute-force per-stratum oracle
-// ---------------------------------------------------------------------------
-
-/// Evaluates `program` stratum by stratum with brute-force substitution
-/// enumeration: every rule is tried under every assignment of domain
-/// elements to its variables, positives and negatives are checked against
-/// the fact sets directly, and each stratum runs to fixpoint before the
-/// next starts. Independent of the engine's join plans, delta sets,
-/// rewriting and materialization — it shares only the stratum assignment.
-fn oracle(program: &Program, s: &Structure) -> Vec<Vec<Vec<ElemId>>> {
-    let strat = stratify(program).expect("oracle needs a stratifiable program");
-    let elems: Vec<ElemId> = s.domain().elems().collect();
-    let mut facts: Vec<HashSet<Vec<ElemId>>> = vec![HashSet::new(); program.idb_count()];
-
-    let instantiate = |atom: &Atom, asg: &[ElemId]| -> Vec<ElemId> {
-        atom.terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => *c,
-                Term::Var(v) => asg[v.index()],
-            })
-            .collect()
-    };
-
-    for stratum_rules in strat.strata() {
-        loop {
-            let mut changed = false;
-            for &ri in stratum_rules {
-                let rule = &program.rules[ri];
-                let nvars = rule.var_count as usize;
-                // Odometer over all assignments domain^nvars (including
-                // the single empty assignment for ground rules).
-                let mut asg: Vec<usize> = vec![0; nvars];
-                'assignments: loop {
-                    let values: Vec<ElemId> = asg.iter().map(|&i| elems[i]).collect();
-                    let body_holds = rule.body.iter().all(|lit| {
-                        let tuple = instantiate(&lit.atom, &values);
-                        let holds = match lit.atom.pred {
-                            PredRef::Edb(p) => s.holds(p, &tuple),
-                            PredRef::Idb(id) => facts[id.index()].contains(&tuple),
-                        };
-                        holds == lit.positive
-                    });
-                    if body_holds {
-                        let head = instantiate(&rule.head, &values);
-                        let PredRef::Idb(id) = rule.head.pred else {
-                            panic!("oracle: IDB heads only");
-                        };
-                        changed |= facts[id.index()].insert(head);
-                    }
-                    // Next assignment.
-                    for slot in &mut asg {
-                        *slot += 1;
-                        if *slot < elems.len() {
-                            continue 'assignments;
-                        }
-                        *slot = 0;
-                    }
-                    break;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    facts
-        .into_iter()
-        .map(|set| {
-            let mut v: Vec<Vec<ElemId>> = set.into_iter().collect();
-            v.sort();
-            v
-        })
-        .collect()
-}
 
 fn assert_store_matches_oracle(program: &Program, s: &Structure) {
     let expected = oracle(program, s);
@@ -285,110 +188,6 @@ fn negation_in_scc_fails_with_named_cycle() {
 // Random semipositive programs: the session fast path ≡ ground truth
 // ---------------------------------------------------------------------------
 
-/// Raw material for one body literal: `(kind, arg, arg)`.
-type RawLit = (u8, u8, u8);
-/// Raw rule: `(head pick, (head args), positive body, negative pick)`.
-type RawRule = (u8, (u8, u8), Vec<RawLit>, RawLit);
-
-fn var(i: u8) -> Term {
-    Term::Var(Var((i % NVARS) as u32))
-}
-
-/// Positive body literal kinds: e/2, m/1, q0/1, q1/2.
-fn positive_literal(raw: RawLit, e: PredId, m: PredId) -> Literal {
-    let (kind, a, b) = raw;
-    let atom = match kind % 4 {
-        0 => Atom {
-            pred: PredRef::Edb(e),
-            terms: vec![var(a), var(b)],
-        },
-        1 => Atom {
-            pred: PredRef::Edb(m),
-            terms: vec![var(a)],
-        },
-        2 => Atom {
-            pred: PredRef::Idb(IdbId(0)),
-            terms: vec![var(a)],
-        },
-        _ => Atom {
-            pred: PredRef::Idb(IdbId(1)),
-            terms: vec![var(a), var(b)],
-        },
-    };
-    Literal {
-        atom,
-        positive: true,
-    }
-}
-
-/// A random always-safe *semipositive* program over q0/1 and q1/2 (the
-/// generator of `engine_equivalence`, reused for the stratified-vs-plain
-/// agreement property).
-fn build_semipositive_program(raw_rules: &[RawRule], structure: &Structure) -> Program {
-    let e = structure.signature().lookup("e").unwrap();
-    let m = structure.signature().lookup("m").unwrap();
-    let mut program = Program::default();
-    program.intern_idb("q0", 1).unwrap();
-    program.intern_idb("q1", 2).unwrap();
-
-    for (head_pick, (h1, h2), body_raw, neg_raw) in raw_rules {
-        let body: Vec<Literal> = body_raw
-            .iter()
-            .map(|&raw| positive_literal(raw, e, m))
-            .collect();
-        let mut pos_vars: Vec<Var> = body
-            .iter()
-            .flat_map(|l| l.atom.vars().collect::<Vec<_>>())
-            .collect();
-        pos_vars.sort();
-        pos_vars.dedup();
-        let pick = |sel: u8| Term::Var(pos_vars[sel as usize % pos_vars.len()]);
-
-        let head = if head_pick % 2 == 0 {
-            Atom {
-                pred: PredRef::Idb(IdbId(0)),
-                terms: vec![pick(*h1)],
-            }
-        } else {
-            Atom {
-                pred: PredRef::Idb(IdbId(1)),
-                terms: vec![pick(*h1), pick(*h2)],
-            }
-        };
-
-        let mut body = body;
-        let (nkind, na, nb) = *neg_raw;
-        match nkind % 3 {
-            0 => {}
-            1 => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(e),
-                    terms: vec![pick(na), pick(nb)],
-                },
-                positive: false,
-            }),
-            _ => body.push(Literal {
-                atom: Atom {
-                    pred: PredRef::Edb(m),
-                    terms: vec![pick(na)],
-                },
-                positive: false,
-            }),
-        }
-
-        program.rules.push(Rule {
-            head,
-            body,
-            var_count: NVARS as u32,
-            var_names: vec!["X".into(), "Y".into(), "Z".into()],
-        });
-    }
-    program
-        .check_semipositive()
-        .expect("generator builds semipositive programs");
-    program
-}
-
 /// Like the semipositive generator, but with a third predicate `q2/1`
 /// whose rules may *negate* q0, q1 or self-recurse positively — always
 /// stratifiable by construction (q2 never occurs below q0/q1).
@@ -399,7 +198,7 @@ fn build_stratified_program(
 ) -> Program {
     let e = structure.signature().lookup("e").unwrap();
     let m = structure.signature().lookup("m").unwrap();
-    let mut program = build_semipositive_program(raw_rules, structure);
+    let mut program = build_program(raw_rules, structure);
     let q2 = program.intern_idb("q2", 1).unwrap();
 
     for (h1, body_raw, neg_raw) in upper_rules {
@@ -495,7 +294,7 @@ proptest! {
         ),
     ) {
         let s = build_structure(n, &edges, &marks);
-        let p = build_semipositive_program(&raw_rules, &s);
+        let p = build_program(&raw_rules, &s);
         // A default session on a semipositive program takes the
         // single-stratum fast path (no rewriting, no extension).
         let mut session = Evaluator::new(p.clone()).unwrap();
@@ -513,16 +312,13 @@ proptest! {
         prop_assert_eq!(cold.stats.firings, warm.stats.firings);
         prop_assert_eq!(cold.stats.rounds, warm.stats.rounds);
         prop_assert_eq!(cold.stats.negative_checks, warm.stats.negative_checks);
-        // And the fixpoint matches the naive ground truth.
-        let naive = Evaluator::with_options(p.clone(), EvalOptions::new().engine(Engine::Naive))
-            .unwrap()
-            .evaluate(&s)
-            .unwrap();
-        for idb in 0..p.idb_count() {
+        // And the fixpoint matches the brute-force oracle.
+        let expected = oracle(&p, &s);
+        for (idb, expected_tuples) in expected.iter().enumerate() {
             let id = IdbId(idb as u32);
-            prop_assert_eq!(naive.store.tuples(id), cold.store.tuples(id), "idb {}", idb);
+            prop_assert_eq!(&cold.store.tuples(id), expected_tuples, "idb {}", idb);
         }
-        prop_assert_eq!(naive.stats.facts, cold.stats.facts);
+        prop_assert_eq!(expected.iter().map(Vec::len).sum::<usize>(), cold.stats.facts);
     }
 
     #[test]
