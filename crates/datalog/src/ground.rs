@@ -10,18 +10,21 @@
 //! is functional in both directions (a node has at most one first child
 //! and at most one parent).
 //!
-//! Evaluation follows the proof of Theorem 4.4 literally: instantiate each
-//! rule once per guard tuple (≤ |𝒜| instantiations), resolve the remaining
-//! variables through unique-index lookups, check the residual extensional
-//! literals, and hand the resulting ground program `P′` (of size
+//! Evaluation follows the proof of Theorem 4.4: instantiate each rule once
+//! per tuple of its smallest valid guard (≤ |𝒜| instantiations), resolve
+//! the remaining variables through unique-index lookups, check the
+//! residual extensional literals (those neither the guard nor a lookup
+//! fetched), and hand the resulting ground program `P′` (of size
 //! `O(|P|·|𝒜|)`) to the LTUR solver of the [`horn`](mod@crate::horn) module.
+//! Every satisfying instantiation is reached from exactly one tuple of any
+//! valid guard, so `P′` does not depend on which guard is chosen.
 
-use crate::ast::{Literal, PredRef, Program, Rule, Term};
+use crate::ast::{Atom, IdbId, Literal, PredRef, Program, Rule, Term, Var};
 use crate::eval::IdbStore;
 use crate::horn::{HornProgram, HornRule};
 use crate::limits::Governor;
 use mdtw_structure::fx::FxHashMap;
-use mdtw_structure::{ElemId, PosIndex, PredId, Structure};
+use mdtw_structure::{ElemId, PosIndex, PredId, Relation, Structure};
 use std::sync::Arc;
 
 /// A declared functional dependency on an extensional predicate: the
@@ -50,9 +53,12 @@ impl FdCatalog {
 
     /// Declares a functional dependency.
     ///
-    /// # Panics
-    /// Panics if `determinant ∪ determined` does not cover `0..arity` of
-    /// intended use (checked lazily during grounding).
+    /// Nothing is checked here. The guard analysis skips a declaration,
+    /// for one body literal, when one of its positions is out of that
+    /// literal's arity: the declaration then binds nothing, and a rule
+    /// that needs it is reported as [`QgError::NotQuasiGuarded`]. Whether
+    /// the data satisfies a dependency is checked during grounding, for
+    /// every index a plan looks up ([`QgError::FdViolated`]).
     pub fn declare(&mut self, pred: PredId, determinant: Vec<usize>, determined: Vec<usize>) {
         self.deps.entry(pred).or_default().push(FuncDep {
             determinant,
@@ -131,7 +137,9 @@ impl std::error::Error for QgError {}
 pub struct QgStats {
     /// Number of ground rules produced (`|P′| ≤ |P|·|𝒜|`).
     pub ground_rules: usize,
-    /// Number of guard instantiations attempted.
+    /// Number of guard instantiations attempted: one per tuple of each
+    /// rule's guard (the valid guard with the smallest relation), plus one
+    /// per variable-free rule.
     pub guard_instantiations: usize,
     /// Number of distinct ground atoms.
     pub ground_atoms: usize,
@@ -139,40 +147,50 @@ pub struct QgStats {
 
 /// One step of a rule's variable-resolution plan.
 #[derive(Debug, Clone)]
-struct PlanStep {
+struct PlanStep<'c> {
     /// Body literal index supplying the lookup.
     literal: usize,
     /// Functional dependency used.
-    fd: FuncDep,
+    fd: &'c FuncDep,
 }
 
 /// The grounding plan of one rule.
 #[derive(Debug, Clone)]
-struct RulePlan {
+struct RulePlan<'c> {
     /// Guard literal index (`None` for variable-free rules).
     guard: Option<usize>,
     /// Lookup steps executed after binding the guard.
-    steps: Vec<PlanStep>,
+    steps: Vec<PlanStep<'c>>,
 }
 
 /// Verifies that every rule of `program` is quasi-guarded under `catalog`
 /// (structure-independent, so an [`Evaluator`](crate::evaluator::Evaluator)
 /// session can validate once at construction).
 pub(crate) fn check_quasi_guarded(program: &Program, catalog: &FdCatalog) -> Result<(), QgError> {
-    analyze(program, catalog).map(|_| ())
+    analyze(program, catalog, |_| 0).map(|_| ())
 }
 
 /// Verifies that every rule of `program` is quasi-guarded under `catalog`
-/// and returns the per-rule plans.
-fn analyze(program: &Program, catalog: &FdCatalog) -> Result<Vec<RulePlan>, QgError> {
+/// and returns the per-rule plans. Each rule's guard is the valid
+/// candidate whose relation is smallest by `size`; ties keep body order.
+fn analyze<'c>(
+    program: &Program,
+    catalog: &'c FdCatalog,
+    size: impl Fn(PredId) -> usize,
+) -> Result<Vec<RulePlan<'c>>, QgError> {
     let mut plans = Vec::with_capacity(program.rules.len());
     for (ri, rule) in program.rules.iter().enumerate() {
-        plans.push(analyze_rule(rule, catalog).ok_or(QgError::NotQuasiGuarded { rule: ri })?);
+        plans
+            .push(analyze_rule(rule, catalog, &size).ok_or(QgError::NotQuasiGuarded { rule: ri })?);
     }
     Ok(plans)
 }
 
-fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
+fn analyze_rule<'c>(
+    rule: &Rule,
+    catalog: &'c FdCatalog,
+    size: &impl Fn(PredId) -> usize,
+) -> Option<RulePlan<'c>> {
     let nvars = rule.var_count as usize;
     if nvars == 0 {
         return Some(RulePlan {
@@ -180,14 +198,19 @@ fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
             steps: Vec::new(),
         });
     }
-    let edb_literals: Vec<usize> = rule
+    let edb_literals: Vec<(usize, PredId)> = rule
         .body
         .iter()
         .enumerate()
-        .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Edb(_)))
-        .map(|(i, _)| i)
+        .filter_map(|(i, l)| match l.atom.pred {
+            PredRef::Edb(p) if l.positive => Some((i, p)),
+            _ => None,
+        })
         .collect();
-    'guards: for &gi in &edb_literals {
+    // A stable sort: equal sizes keep body order.
+    let mut candidates = edb_literals.clone();
+    candidates.sort_by_key(|&(_, p)| size(p));
+    'guards: for &(gi, _) in &candidates {
         let mut bound = vec![false; nvars];
         for v in rule.body[gi].atom.vars() {
             bound[v.index()] = true;
@@ -203,12 +226,8 @@ fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
             // Find a literal+FD whose determinant is fully bound and which
             // binds at least one new variable.
             let mut progressed = false;
-            for &li in &edb_literals {
+            for &(li, pred) in &edb_literals {
                 let lit = &rule.body[li];
-                let pred = match lit.atom.pred {
-                    PredRef::Edb(p) => p,
-                    PredRef::Idb(_) => unreachable!(),
-                };
                 for fd in catalog.of(pred) {
                     if fd
                         .determinant
@@ -235,10 +254,7 @@ fn analyze_rule(rule: &Rule, catalog: &FdCatalog) -> Option<RulePlan> {
                         }
                     }
                     if news {
-                        steps.push(PlanStep {
-                            literal: li,
-                            fd: fd.clone(),
-                        });
+                        steps.push(PlanStep { literal: li, fd });
                         progressed = true;
                     }
                 }
@@ -270,21 +286,217 @@ fn unique_index(
     Ok(idx)
 }
 
+/// How one cell of a fetched tuple meets the rule's bindings.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    /// The variable's first occurrence in the plan: bind it to the cell.
+    Bind(Var),
+    /// The cell must equal this constant or already bound variable.
+    Check(Term),
+}
+
+/// One FD lookup of a plan, resolved against the structure.
+struct Lookup<'s> {
+    rel: &'s Relation,
+    /// The validated unique index on the determinant positions.
+    index: Arc<PosIndex>,
+    /// The determinant terms, bound by the time the lookup runs.
+    key: Vec<Term>,
+    /// The non-key cells of the matching tuple.
+    cells: Vec<(usize, Cell)>,
+}
+
+/// One rule's plan resolved against the structure being grounded.
+struct Grounder<'s, 'p> {
+    rule: &'p Rule,
+    /// The guard relation and how its tuples bind (`None` for
+    /// variable-free rules).
+    guard: Option<(&'s Relation, Vec<(usize, Cell)>)>,
+    lookups: Vec<Lookup<'s>>,
+    /// The extensional literals neither the guard nor a lookup fetched:
+    /// the only ones that can still fail once every variable is bound.
+    residual: Vec<(&'s Relation, &'p Literal)>,
+}
+
+impl<'s, 'p> Grounder<'s, 'p> {
+    fn new<'c>(
+        rule: &'p Rule,
+        plan: &RulePlan<'c>,
+        structure: &'s Structure,
+        validated: &mut FxHashMap<(PredId, &'c [usize]), Arc<PosIndex>>,
+    ) -> Result<Self, QgError> {
+        let edb = |li: usize| match rule.body[li].atom.pred {
+            PredRef::Edb(p) => p,
+            PredRef::Idb(_) => unreachable!("guards and lookups are extensional"),
+        };
+        let mut bound = vec![false; rule.var_count as usize];
+        let mut fetched = vec![false; rule.body.len()];
+        let guard = plan.guard.map(|gi| {
+            fetched[gi] = true;
+            let cells = cells(&rule.body[gi].atom.terms, &[], &mut bound);
+            (structure.relation(edb(gi)), cells)
+        });
+        let mut lookups = Vec::with_capacity(plan.steps.len());
+        for step in &plan.steps {
+            let pred = edb(step.literal);
+            let terms = &rule.body[step.literal].atom.terms;
+            let key_positions = step.fd.determinant.as_slice();
+            let index = match validated.get(&(pred, key_positions)) {
+                Some(idx) => Arc::clone(idx),
+                None => {
+                    let idx = unique_index(structure, pred, key_positions)?;
+                    validated.insert((pred, key_positions), Arc::clone(&idx));
+                    idx
+                }
+            };
+            fetched[step.literal] = true;
+            lookups.push(Lookup {
+                rel: structure.relation(pred),
+                index,
+                key: key_positions.iter().map(|&pos| terms[pos]).collect(),
+                cells: cells(terms, key_positions, &mut bound),
+            });
+        }
+        let residual = rule
+            .body
+            .iter()
+            .zip(&fetched)
+            .filter_map(|(lit, &f)| match lit.atom.pred {
+                PredRef::Edb(p) if !f => Some((structure.relation(p), lit)),
+                _ => None,
+            })
+            .collect();
+        Ok(Self {
+            rule,
+            guard,
+            lookups,
+            residual,
+        })
+    }
+
+    /// Checks the residual extensional literals under full `bindings`
+    /// and, if they all hold, interns the rule's intensional atoms and
+    /// adds the instantiated rule to `horn`.
+    fn emit(
+        &self,
+        bindings: &[ElemId],
+        buf: &mut Vec<ElemId>,
+        atoms: &mut [AtomTable],
+        horn: &mut HornProgram,
+    ) {
+        for &(rel, lit) in &self.residual {
+            instantiate(&lit.atom.terms, bindings, buf);
+            if rel.contains(buf) != lit.positive {
+                return; // extensional literal fails: drop instantiation
+            }
+        }
+        let n_atoms = &mut horn.n_atoms;
+        let mut atom_id = |atom: &Atom| {
+            let PredRef::Idb(id) = atom.pred else {
+                unreachable!("extensional heads rejected earlier")
+            };
+            instantiate(&atom.terms, bindings, buf);
+            atoms[id.index()].intern(buf, n_atoms)
+        };
+        let body = (self.rule.body.iter())
+            .filter(|l| matches!(l.atom.pred, PredRef::Idb(_)))
+            .map(|l| atom_id(&l.atom))
+            .collect();
+        let head = atom_id(&self.rule.head);
+        horn.rules.push(HornRule { head, body });
+    }
+}
+
+/// The match actions for a fetched tuple of `terms`, skipping the `skip`
+/// positions (a lookup key, equal by construction). Marks the variables
+/// it binds in `bound`.
+fn cells(terms: &[Term], skip: &[usize], bound: &mut [bool]) -> Vec<(usize, Cell)> {
+    (terms.iter().enumerate())
+        .filter(|(pos, _)| !skip.contains(pos))
+        .map(|(pos, &t)| match t {
+            Term::Var(v) if !bound[v.index()] => {
+                bound[v.index()] = true;
+                (pos, Cell::Bind(v))
+            }
+            t => (pos, Cell::Check(t)),
+        })
+        .collect()
+}
+
+#[inline]
+fn value(t: Term, bindings: &[ElemId]) -> ElemId {
+    match t {
+        Term::Const(c) => c,
+        Term::Var(v) => bindings[v.index()],
+    }
+}
+
+/// Matches `tuple` against `cells`, binding first occurrences; `false`
+/// on a mismatch.
+#[inline]
+fn bind(tuple: &[ElemId], cells: &[(usize, Cell)], bindings: &mut [ElemId]) -> bool {
+    for &(pos, cell) in cells {
+        match cell {
+            Cell::Bind(v) => bindings[v.index()] = tuple[pos],
+            Cell::Check(t) => {
+                if value(t, bindings) != tuple[pos] {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Writes `terms` under `bindings` into `buf`.
+#[inline]
+fn instantiate(terms: &[Term], bindings: &[ElemId], buf: &mut Vec<ElemId>) {
+    buf.clear();
+    buf.extend(terms.iter().map(|&t| value(t, bindings)));
+}
+
+/// The ground atoms of one intensional predicate: `args` deduplicates the
+/// argument tuples in a flat arena, and `ids[row]` is the atom id of row
+/// `row`.
+#[derive(Debug)]
+struct AtomTable {
+    args: Relation,
+    ids: Vec<u32>,
+}
+
+impl AtomTable {
+    /// The atom id of `args`, allocating the next id (`*n_atoms`) if new.
+    #[inline]
+    fn intern(&mut self, args: &[ElemId], n_atoms: &mut usize) -> u32 {
+        let (row, new) = self.args.insert_row(args);
+        if new {
+            self.ids
+                .push(u32::try_from(*n_atoms).expect("atom ids fit in u32"));
+            *n_atoms += 1;
+        }
+        self.ids[row as usize]
+    }
+}
+
 /// The ground program plus the atom interner used to decode the model.
 #[derive(Debug)]
 pub struct Grounding {
     /// The propositional Horn program `P′`.
     pub horn: HornProgram,
-    /// Ground atom interner: `(IdbId index, args) → atom id`.
-    atom_ids: FxHashMap<(u32, Box<[ElemId]>), u32>,
+    /// Ground atom interner, indexed by [`IdbId`].
+    atoms: Vec<AtomTable>,
     /// Statistics.
     pub stats: QgStats,
 }
 
 impl Grounding {
     /// The atom id of `pred(args)` if it occurs in the grounding.
-    pub fn atom_id(&self, pred: crate::ast::IdbId, args: &[ElemId]) -> Option<u32> {
-        self.atom_ids.get(&(pred.0, args.into())).copied()
+    pub fn atom_id(&self, pred: IdbId, args: &[ElemId]) -> Option<u32> {
+        let table = self.atoms.get(pred.index())?;
+        if args.len() != table.args.arity() {
+            return None;
+        }
+        table.args.row_of(args).map(|row| table.ids[row as usize])
     }
 }
 
@@ -317,187 +529,62 @@ pub(crate) fn ground_governed(
     program
         .check_semipositive()
         .map_err(|message| QgError::NotSemipositive { message })?;
-    let plans = analyze(program, catalog)?;
+    let plans = analyze(program, catalog, |p| structure.relation(p).len())?;
 
-    // Resolve each rule's lookup steps to (predicate, unique index) pairs
-    // up front, validating the declared FDs once per distinct index.
-    let mut validated: FxHashMap<(PredId, Box<[usize]>), Arc<PosIndex>> = FxHashMap::default();
-    let mut step_indexes: Vec<Vec<(PredId, Arc<PosIndex>)>> = Vec::with_capacity(plans.len());
+    // Resolve each plan against the structure, validating the declared
+    // FDs once per distinct index.
+    let mut validated = FxHashMap::default();
+    let mut grounders = Vec::with_capacity(plans.len());
     for (rule, plan) in program.rules.iter().zip(&plans) {
-        let mut resolved = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            let pred = match rule.body[step.literal].atom.pred {
-                PredRef::Edb(p) => p,
-                PredRef::Idb(_) => unreachable!(),
-            };
-            let key = (pred, step.fd.determinant.clone().into_boxed_slice());
-            let idx = match validated.get(&key) {
-                Some(idx) => Arc::clone(idx),
-                None => {
-                    let idx = unique_index(structure, pred, &step.fd.determinant)?;
-                    validated.insert(key, Arc::clone(&idx));
-                    idx
-                }
-            };
-            resolved.push((pred, idx));
-        }
-        step_indexes.push(resolved);
+        grounders.push(Grounder::new(rule, plan, structure, &mut validated)?);
     }
 
-    let mut atom_ids: FxHashMap<(u32, Box<[ElemId]>), u32> = FxHashMap::default();
+    let mut atoms: Vec<AtomTable> = (program.idb_arities.iter())
+        .map(|&arity| AtomTable {
+            args: Relation::new(arity),
+            ids: Vec::new(),
+        })
+        .collect();
     let mut horn = HornProgram::default();
-    let mut stats = QgStats::default();
-
-    let mut intern = |atom_ids: &mut FxHashMap<(u32, Box<[ElemId]>), u32>,
-                      pred: u32,
-                      args: Box<[ElemId]>|
-     -> u32 {
-        let next = atom_ids.len() as u32;
-        *atom_ids.entry((pred, args)).or_insert(next)
-    };
-
-    let mut key_buf: Vec<ElemId> = Vec::new();
-    'rules: for ((rule, plan), rule_indexes) in program.rules.iter().zip(&plans).zip(&step_indexes)
-    {
-        let mut bindings: Vec<Option<ElemId>> = vec![None; rule.var_count as usize];
-        match plan.guard {
-            None => {
-                // Variable-free rule: single instantiation.
-                stats.guard_instantiations += 1;
-                emit_ground_rule(
-                    rule,
-                    &bindings,
-                    structure,
-                    &mut horn,
-                    &mut atom_ids,
-                    &mut intern,
-                    &mut stats,
-                );
+    let mut instantiations = 0;
+    let mut bindings: Vec<ElemId> = Vec::new();
+    let mut buf: Vec<ElemId> = Vec::new();
+    'rules: for g in &grounders {
+        bindings.clear();
+        bindings.resize(g.rule.var_count as usize, ElemId(0));
+        let Some((guard, guard_cells)) = &g.guard else {
+            // Variable-free rule: single instantiation.
+            instantiations += 1;
+            g.emit(&bindings, &mut buf, &mut atoms, &mut horn);
+            continue;
+        };
+        'tuples: for tuple in guard.iter() {
+            instantiations += 1;
+            if gov.work(instantiations, 0) {
+                break 'rules;
             }
-            Some(gi) => {
-                let guard_pred = match rule.body[gi].atom.pred {
-                    PredRef::Edb(p) => p,
-                    PredRef::Idb(_) => unreachable!(),
+            if !bind(tuple, guard_cells, &mut bindings) {
+                continue;
+            }
+            for step in &g.lookups {
+                instantiate(&step.key, &bindings, &mut buf);
+                // FD validation made every bucket a singleton.
+                let Some(&row) = step.rel.rows_matching(&step.index, &buf).first() else {
+                    continue 'tuples; // no matching tuple: rule body unsatisfiable
                 };
-                let guard_atom = &rule.body[gi].atom;
-                'tuples: for tuple in structure.relation(guard_pred).iter() {
-                    stats.guard_instantiations += 1;
-                    if gov.work(stats.guard_instantiations, 0) {
-                        break 'rules;
-                    }
-                    bindings.fill(None);
-                    // Bind the guard.
-                    for (term, &value) in guard_atom.terms.iter().zip(tuple) {
-                        match term {
-                            Term::Const(c) => {
-                                if *c != value {
-                                    continue 'tuples;
-                                }
-                            }
-                            Term::Var(v) => match bindings[v.index()] {
-                                Some(prev) if prev != value => continue 'tuples,
-                                _ => bindings[v.index()] = Some(value),
-                            },
-                        }
-                    }
-                    // Execute the lookup plan.
-                    for (step, (pred, idx)) in plan.steps.iter().zip(rule_indexes) {
-                        let lit = &rule.body[step.literal];
-                        key_buf.clear();
-                        for &pos in &step.fd.determinant {
-                            key_buf.push(match lit.atom.terms[pos] {
-                                Term::Const(c) => c,
-                                Term::Var(v) => {
-                                    bindings[v.index()].expect("determinant bound by plan")
-                                }
-                            });
-                        }
-                        let rel = structure.relation(*pred);
-                        // FD validation made every bucket a singleton.
-                        let Some(&row) = rel.rows_matching(idx, &key_buf).first() else {
-                            continue 'tuples; // no matching tuple: rule body unsatisfiable
-                        };
-                        let found = rel.tuple(row);
-                        for (pos, &value) in found.iter().enumerate() {
-                            match lit.atom.terms[pos] {
-                                Term::Const(c) => {
-                                    if c != value {
-                                        continue 'tuples;
-                                    }
-                                }
-                                Term::Var(v) => match bindings[v.index()] {
-                                    Some(prev) if prev != value => continue 'tuples,
-                                    _ => bindings[v.index()] = Some(value),
-                                },
-                            }
-                        }
-                    }
-                    emit_ground_rule(
-                        rule,
-                        &bindings,
-                        structure,
-                        &mut horn,
-                        &mut atom_ids,
-                        &mut intern,
-                        &mut stats,
-                    );
+                if !bind(step.rel.tuple(row), &step.cells, &mut bindings) {
+                    continue 'tuples;
                 }
             }
+            g.emit(&bindings, &mut buf, &mut atoms, &mut horn);
         }
     }
-    horn.n_atoms = atom_ids.len();
-    stats.ground_atoms = atom_ids.len();
-    stats.ground_rules = horn.rules.len();
-    Ok(Grounding {
-        horn,
-        atom_ids,
-        stats,
-    })
-}
-
-/// Checks residual extensional literals under full bindings and, if they
-/// pass, adds the instantiated rule to the Horn program.
-#[allow(clippy::too_many_arguments)]
-fn emit_ground_rule(
-    rule: &Rule,
-    bindings: &[Option<ElemId>],
-    structure: &Structure,
-    horn: &mut HornProgram,
-    atom_ids: &mut FxHashMap<(u32, Box<[ElemId]>), u32>,
-    intern: &mut impl FnMut(&mut FxHashMap<(u32, Box<[ElemId]>), u32>, u32, Box<[ElemId]>) -> u32,
-    stats: &mut QgStats,
-) {
-    let value = |t: &Term| -> ElemId {
-        match t {
-            Term::Const(c) => *c,
-            Term::Var(v) => bindings[v.index()].expect("plan bound all variables"),
-        }
+    let stats = QgStats {
+        ground_rules: horn.rules.len(),
+        guard_instantiations: instantiations,
+        ground_atoms: horn.n_atoms,
     };
-    let mut body_atoms: Vec<u32> = Vec::new();
-    for Literal { atom, positive } in &rule.body {
-        let args: Box<[ElemId]> = atom.terms.iter().map(value).collect();
-        match atom.pred {
-            PredRef::Edb(p) => {
-                if structure.holds(p, &args) != *positive {
-                    return; // extensional literal fails: drop instantiation
-                }
-            }
-            PredRef::Idb(id) => {
-                debug_assert!(*positive, "semipositive program");
-                body_atoms.push(intern(atom_ids, id.0, args));
-            }
-        }
-    }
-    let head_args: Box<[ElemId]> = rule.head.terms.iter().map(value).collect();
-    let head = match rule.head.pred {
-        PredRef::Idb(id) => intern(atom_ids, id.0, head_args),
-        PredRef::Edb(_) => unreachable!("extensional heads rejected earlier"),
-    };
-    horn.rules.push(HornRule {
-        head,
-        body: body_atoms,
-    });
-    let _ = stats;
+    Ok(Grounding { horn, atoms, stats })
 }
 
 /// Full quasi-guarded evaluation: ground, run LTUR, decode into an
@@ -524,9 +611,11 @@ pub(crate) fn run_quasi_guarded(
     }
     let model = grounding.horn.least_model();
     let mut store = IdbStore::new_for(program);
-    for ((pred, args), id) in &grounding.atom_ids {
-        if model[*id as usize] {
-            store.insert_raw(crate::ast::IdbId(*pred), args);
+    for (pred, table) in grounding.atoms.iter().enumerate() {
+        for (row, &id) in table.ids.iter().enumerate() {
+            if model[id as usize] {
+                store.insert_raw(IdbId(pred as u32), table.args.tuple(row as u32));
+            }
         }
     }
     Ok((store, grounding.stats))
@@ -672,5 +761,97 @@ mod tests {
             store.unary(p.idb("mid").unwrap()),
             vec![ElemId(2), ElemId(3)]
         );
+    }
+
+    #[test]
+    fn malformed_fd_declaration_is_skipped() {
+        let s = chain_structure(4);
+        let next = s.signature().lookup("next").unwrap();
+        // Either `next` literal binds two of the three variables; the
+        // third needs an FD lookup.
+        let p = parse_program("two(Z) :- next(X, Y), next(Y, Z).", &s).unwrap();
+        let mut cat = FdCatalog::new();
+        cat.declare(next, vec![0], vec![5]); // position 5 is out of arity 2
+        assert_eq!(
+            ground(&p, &s, &cat).unwrap_err(),
+            QgError::NotQuasiGuarded { rule: 0 }
+        );
+        cat.declare(next, vec![0], vec![1]);
+        assert_eq!(ground(&p, &s, &cat).unwrap().stats.ground_rules, 2);
+    }
+
+    /// A path of tree nodes `0 → 1 → … → 6` encoded as `bag(v, v+1)`
+    /// (the node determines its bag), with two `leaf` nodes and one
+    /// `mark`ed element: `leaf(4)` meets the marked `bag(4, 5)`,
+    /// `leaf(5)` the unmarked `bag(5, 6)`.
+    fn bag_structure() -> (Structure, FdCatalog) {
+        let sig = Arc::new(Signature::from_pairs([
+            ("bag", 2),
+            ("leaf", 1),
+            ("mark", 1),
+        ]));
+        let mut s = Structure::new(sig, Domain::anonymous(8));
+        let [bag, leaf, mark] = ["bag", "leaf", "mark"].map(|n| s.signature().lookup(n).unwrap());
+        for v in 0..6 {
+            s.insert(bag, &[ElemId(v), ElemId(v + 1)]);
+        }
+        s.insert(leaf, &[ElemId(4)]);
+        s.insert(leaf, &[ElemId(5)]);
+        s.insert(mark, &[ElemId(5)]);
+        let mut cat = FdCatalog::new();
+        cat.declare(bag, vec![0], vec![1]);
+        (s, cat)
+    }
+
+    fn assert_matches_seminaive(p: &Program, s: &Structure, qg: &IdbStore) {
+        let sn = Evaluator::new(p.clone())
+            .unwrap()
+            .evaluate(s)
+            .unwrap()
+            .store;
+        for (i, name) in p.idb_names.iter().enumerate() {
+            let id = IdbId(i as u32);
+            assert_eq!(qg.tuples(id), sn.tuples(id), "{name}");
+        }
+    }
+
+    #[test]
+    fn guard_is_the_smallest_valid_candidate() {
+        let (s, cat) = bag_structure();
+        let p = parse_program("r(V) :- bag(V, X), leaf(V).", &s).unwrap();
+        let (store, stats) = eval_quasi_guarded(&p, &s, &cat);
+        // One instantiation per `leaf` tuple (2), not per `bag` tuple (6).
+        assert_eq!(stats.guard_instantiations, 2);
+        assert_eq!(stats.ground_rules, 2);
+        assert_eq!(store.unary(p.idb("r").unwrap()), vec![ElemId(4), ElemId(5)]);
+        assert_matches_seminaive(&p, &s, &store);
+    }
+
+    #[test]
+    fn failing_residual_literal_interns_no_atoms() {
+        let (s, cat) = bag_structure();
+        // `mark` (1 tuple) is the smallest candidate of the second rule,
+        // but no FD recovers the node `V` from `X`, so `leaf` (2 tuples)
+        // guards it; `mark(X)` is then the residual positive literal.
+        let p = parse_program(
+            "w(X) :- mark(X).\nr(V) :- w(X), bag(V, X), leaf(V), mark(X).",
+            &s,
+        )
+        .unwrap();
+        let (store, stats) = eval_quasi_guarded(&p, &s, &cat);
+        assert_eq!(stats.guard_instantiations, 1 + 2);
+        assert_matches_seminaive(&p, &s, &store);
+
+        let g = ground(&p, &s, &cat).unwrap();
+        let model = g.horn.least_model();
+        let (w, r) = (p.idb("w").unwrap(), p.idb("r").unwrap());
+        let r4 = g.atom_id(r, &[ElemId(4)]).unwrap();
+        assert!(model[r4 as usize]);
+        // `leaf(5)` meets `bag(5, 6)` with `6` unmarked: the instantiation
+        // is dropped before any of its intensional atoms is interned.
+        assert_eq!(g.atom_id(r, &[ElemId(5)]), None);
+        assert_eq!(g.atom_id(w, &[ElemId(6)]), None);
+        assert_eq!(g.stats.ground_rules, 2);
+        assert_eq!(g.stats.ground_atoms, 2);
     }
 }

@@ -6,7 +6,7 @@
 //! 3. the MSO-to-FTA baseline with its determinization blow-up.
 //!
 //! ```text
-//! cargo run -p mdtw-examples --bin mso_pipeline
+//! cargo run --release --example mso_pipeline
 //! ```
 
 use mdtw_datalog::{EvalOptions, Evaluator, FdCatalog};

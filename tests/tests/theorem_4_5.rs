@@ -10,7 +10,7 @@ use mdtw_mso::{
     compile::compile_unary_filtered, eval_unary, has_neighbor, isolated, Budget, CompileLimits,
     IndVar, Mso,
 };
-use mdtw_structure::Structure;
+use mdtw_structure::{ElemId, Structure};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -131,4 +131,55 @@ fn compiled_program_is_quasi_guarded_by_construction() {
     let grounding = mdtw_datalog::ground(&compiled.program, &enc.structure, &catalog).unwrap();
     // |P′| ≤ |P| · |𝒜| (Theorem 4.4's bound).
     assert!(grounding.horn.rules.len() <= compiled.program.rules.len() * enc.structure.size());
+}
+
+/// A regression pin on one seeded forest with compiled `has_neighbor`.
+/// The ground program does not depend on which guard a rule is grounded
+/// from, so its size and the `phi` answers are pinned exactly; the guard
+/// instantiations must stay below the count of body-order guards.
+#[test]
+fn grounding_of_seeded_forest_is_pinned() {
+    let sig = Arc::new(mdtw_graph::graph_signature());
+    let compiled = compile_unary_filtered(
+        &has_neighbor(),
+        IndVar(0),
+        &sig,
+        1,
+        CompileLimits::default(),
+        &undirected,
+    )
+    .unwrap();
+    let g = random_forest(&mut SmallRng::seed_from_u64(45), 24);
+    let s = encode_graph(&g);
+    let td = decompose(&s, Heuristic::MinDegree);
+    let tuple_td = TupleTd::from_td_with_width(&td, s.domain().len(), 1).unwrap();
+    let enc = encode_tuple_td(&s, &tuple_td);
+    let catalog = FdCatalog::for_td_signature(&enc.structure);
+    let grounding = mdtw_datalog::ground(&compiled.program, &enc.structure, &catalog).unwrap();
+    let model = grounding.horn.least_model();
+    let bits = |holds: &dyn Fn(ElemId) -> bool| -> String {
+        s.domain()
+            .elems()
+            .map(|v| if holds(v) { '1' } else { '0' })
+            .collect()
+    };
+    let answers = bits(&|v| {
+        grounding
+            .atom_id(compiled.phi, &[v])
+            .is_some_and(|id| model[id as usize])
+    });
+    let naive =
+        bits(&|v| eval_unary(&has_neighbor(), IndVar(0), &s, v, &mut Budget::unlimited()).unwrap());
+    assert_eq!(answers, naive);
+    assert_eq!(answers, "111110111110101010110010");
+    let stats = grounding.stats;
+    assert_eq!(stats.ground_rules, 21856);
+    assert_eq!(stats.ground_atoms, 2072);
+    // 51968: every rule grounded from its first valid guard in body
+    // order, which in compiled programs is always a `bag` literal.
+    assert!(
+        stats.guard_instantiations < 51968,
+        "{}",
+        stats.guard_instantiations
+    );
 }
