@@ -5,9 +5,9 @@
 //! property-test oracles — evaluate the *same* program over and over (per
 //! candidate, per structure). A [`PlanCache`] memoizes the compiled
 //! [`RulePlans`] so repeated evaluations skip planning (and, more
-//! importantly, skip re-deriving the cardinality statistics that feed the
-//! planner's tie-breaks). Every [`Evaluator`](crate::evaluator::Evaluator)
-//! session owns one. The stratified pipeline plans each stratum's rewritten sub-program against the structure extended with
+//! importantly, skip re-deriving the statistics that decide which probes
+//! are functional and break the planner's ties). Every
+//! [`Evaluator`](crate::evaluator::Evaluator) session owns one. The stratified pipeline plans each stratum's rewritten sub-program against the structure extended with
 //! the lower strata's materialized relations, so its cache keys — and
 //! their cardinality shapes — incorporate those extensions like any other
 //! relation.
@@ -26,13 +26,13 @@
 //!   structure whose relation sizes stay within the same power-of-two
 //!   buckets — hits;
 //! * growing or shrinking a relation across a power-of-two boundary
-//!   invalidates (misses), because the planner's cardinality tie-breaks
-//!   may now choose a different join order.
+//!   invalidates (misses), because the planner's functional-probe test
+//!   and cardinality tie-breaks may now choose a different join order.
 //!
 //! Within a bucket, plans may be mildly stale relative to the exact
-//! statistics (a different structure of similar shape could prefer
-//! another tie-break); staleness never affects correctness — every join
-//! order computes the same fixpoint. [`PlanCache::clear`] drops all
+//! statistics (a different structure of similar shape could have a key
+//! that is not functional, or prefer another tie-break); staleness never
+//! affects correctness — every join order computes the same fixpoint. [`PlanCache::clear`] drops all
 //! entries; the cache also evicts its oldest entry beyond
 //! [`PLAN_CACHE_CAPACITY`] entries, so long-running processes cannot
 //! accumulate plans for unboundedly many programs.
@@ -143,8 +143,8 @@ fn program_fingerprint(program: &Program) -> u64 {
 }
 
 /// The structure's cardinality shape: per-relation sizes bucketed by
-/// powers of two (the granularity at which the planner's tie-breaks can
-/// plausibly change), hashed in signature order.
+/// powers of two (the granularity at which the planner's functional-probe
+/// test and tie-breaks can plausibly change), hashed in signature order.
 fn cardinality_shape(structure: &Structure) -> u64 {
     let mut h = FxHasher::default();
     for p in structure.signature().preds() {

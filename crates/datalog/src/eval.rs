@@ -10,7 +10,13 @@
 //! atoms use the textbook semi-naive split: for the delta at body
 //! position *i*, positions before *i* read the pre-round store and
 //! positions after read the updated store, so no instantiation fires
-//! twice in a round. Sessions reach it through the stratified driver in
+//! twice in a round. A delta pass whose delta literal's relation is
+//! empty in this round enumerates nothing and is skipped outright, so
+//! the many-rule compiled programs of Theorem 4.5 pay per round only for
+//! the predicates that actually grew. (The skipped pass would have
+//! counted nothing but the rule's variable-free negative checks and, for
+//! a delta literal with a constant argument, one empty index probe.)
+//! Sessions reach it through the stratified driver in
 //! [`stratify`](mod@crate::stratify); incremental maintenance reuses its
 //! round loop.
 //!
@@ -426,6 +432,14 @@ fn seminaive_rounds(
         stats.rounds += 1;
         'rules: for (ri, (rule, rp)) in program.rules.iter().zip(plans).enumerate() {
             for (dpos, plan) in &rp.delta {
+                let PredRef::Idb(id) = rule.body[*dpos].atom.pred else {
+                    unreachable!("delta plans target intensional literals")
+                };
+                // A pass whose delta literal has an empty frontier
+                // enumerates nothing: skip it before resolving its steps.
+                if delta.rel(id).is_empty() {
+                    continue;
+                }
                 let ctx = PlanCtx {
                     rule,
                     plan,

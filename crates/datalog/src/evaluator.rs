@@ -635,9 +635,9 @@ impl Evaluator {
     /// (uncached) evaluation would compile them. One caveat for
     /// multi-stratum programs: during evaluation, higher strata plan
     /// against the *extended* structure holding the lower strata's
-    /// materialized relations, whose real cardinalities can shift the
-    /// planner's greedy tie-breaks — the explanation shows the
-    /// base-structure baseline.
+    /// materialized relations, whose real cardinalities can change which
+    /// probes the planner finds functional and how it breaks ties — the
+    /// explanation shows the base-structure baseline.
     pub fn explain(&self, structure: &Structure) -> Explanation {
         let plans = plan_program_with(&self.program, &StructureStats::new(structure));
         crate::profile::explain_plans(

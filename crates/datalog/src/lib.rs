@@ -33,8 +33,9 @@
 //!   membership — is keyed by interned integer ids, so deriving a fact
 //!   allocates nothing beyond amortized arena growth;
 //! * [`plan`](mod@crate::plan) — the join planner: access-path selection
-//!   (scan vs. index probe), greedy ordering by bound-variable count with
-//!   cardinality/selectivity tie-breaks from relation statistics,
+//!   (scan vs. index probe), greedy ordering with functional probes
+//!   (at most one matching row, by relation statistics) first, then by
+//!   bound-variable count with cardinality/selectivity tie-breaks,
 //!   delta-plan generation for the semi-naive rule split, early
 //!   scheduling of negative literals;
 //! * [`cache`](mod@crate::cache) — the cross-evaluation [`PlanCache`]:

@@ -1,25 +1,35 @@
 //! Join planning for the indexed evaluation engine.
 //!
-//! Per rule, the planner orders the positive body literals greedily by
-//! bound-argument count and records, for every literal, which secondary
-//! index ([`mdtw_structure::PosIndex`]) it probes: the key positions are
-//! exactly the argument positions held by a constant or by a variable
-//! bound at an earlier step. Negative literals are scheduled at the first
-//! step after which all their variables are bound, so failing branches are
-//! pruned as early as possible.
+//! Per rule, the planner orders the positive body literals greedily and
+//! records, for every literal, which secondary index
+//! ([`mdtw_structure::PosIndex`]) it probes: the key positions are exactly
+//! the argument positions held by a constant or by a variable bound at an
+//! earlier step. Negative literals are scheduled at the first step after
+//! which all their variables are bound, so failing branches are pruned as
+//! early as possible.
 //!
-//! Ties on bound-argument count are broken by cardinality: a
-//! [`CardEstimator`] supplies relation sizes ([`Relation::len`]) and probe
-//! selectivities (relation size over [`PosIndex::key_count`]), and among
-//! equally bound literals the planner picks the one expected to enumerate
-//! the fewest tuples. [`plan_program`] plans without statistics
-//! ([`NoEstimates`] — ties fall back to body order);
-//! [`plan_program_with`] takes real statistics, usually
-//! [`StructureStats`] wrapping the structure under evaluation. In the
-//! *base* plan (executed only in round 0, where every intensional
-//! relation is still empty) intensional literals cost 0 by definition, so
-//! recursive rules short-circuit on an empty scan instead of enumerating
-//! their extensional atoms first.
+//! The greedy order is *functional probes first*. A bound literal whose
+//! probe is functional — every argument position bound, or an estimated
+//! probe of at most one row — goes before any non-functional literal,
+//! whatever their bound counts: it can at most confirm the bindings or
+//! extend them by one tuple, so it never multiplies the partial results.
+//! Under [`StructureStats`] an estimate of at most one row means the
+//! relation has as many distinct keys at the probed positions as rows,
+//! which is an exact functional-dependency test on the data (the
+//! `child1`/`child2`/`bag` relations of a τ_td encoding are keyed by
+//! node, so the Theorem 4.5 programs are joined along these
+//! dependencies). Below that split, literals are ranked by bound-argument
+//! count, then by cardinality, then by body order. A [`CardEstimator`]
+//! supplies relation sizes ([`Relation::len`]) and probe selectivities
+//! (relation size over [`PosIndex::key_count`]). [`plan_program`] plans
+//! without statistics ([`NoEstimates`]: only fully bound probes count as
+//! functional, and ties fall back to body order); [`plan_program_with`]
+//! takes real statistics, usually [`StructureStats`] wrapping the
+//! structure under evaluation, and asks the estimator at most once per
+//! `(predicate, positions)` pair. In the *base* plan (executed only in
+//! round 0, where every intensional relation is still empty) intensional
+//! literals cost 0 by definition, so recursive rules short-circuit on an
+//! empty scan instead of enumerating their extensional atoms first.
 //!
 //! For semi-naive evaluation the planner additionally produces one *delta
 //! plan* per positive intensional body literal: that literal is forced to
@@ -35,7 +45,9 @@
 //! [`PosIndex::key_count`]: mdtw_structure::PosIndex::key_count
 
 use crate::ast::{PredRef, Program, Rule, Term};
+use mdtw_structure::fx::FxHashMap;
 use mdtw_structure::Structure;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 
 /// How a positive body literal is matched at its step of the join order.
@@ -85,8 +97,9 @@ pub struct RulePlans {
 }
 
 /// Cardinality and selectivity estimates feeding the planner's
-/// tie-breaks. `None` means "unknown"; unknown literals sort after every
-/// literal with a known estimate and tie among themselves by body order.
+/// functional-probe test and its tie-breaks. `None` means "unknown";
+/// unknown literals sort after every literal with a known estimate and
+/// tie among themselves by body order.
 pub trait CardEstimator {
     /// Estimated number of tuples of `pred`'s relation.
     fn relation_len(&self, pred: PredRef) -> Option<usize>;
@@ -163,13 +176,63 @@ pub fn plan_program(program: &Program) -> Vec<RulePlans> {
     plan_program_with(program, &NoEstimates)
 }
 
-/// Plans every rule of `program`, breaking greedy ties with `est`.
+/// Plans every rule of `program` with the statistics of `est`. Each
+/// `(predicate, positions)` estimate is asked of `est` at most once per
+/// call, however many rules and candidate steps need it.
 pub fn plan_program_with(program: &Program, est: &dyn CardEstimator) -> Vec<RulePlans> {
+    let memo = MemoEstimator::new(est);
     program
         .rules
         .iter()
-        .map(|r| plan_rule_with(r, est))
+        .map(|r| plan_rule_with(r, &memo))
         .collect()
+}
+
+/// Memoizes an estimator for the span of one planning call. The greedy
+/// planner costs the same `(predicate, positions)` pair once per rule
+/// and candidate step, and [`StructureStats`] answers a probe estimate
+/// with a full pass over the relation unless evaluation already built
+/// that index, so an unmemoized plan of a large compiled program spends
+/// longer in statistics than in evaluation. A relation-size query is keyed by the
+/// empty position list (probes always have at least one position).
+struct MemoEstimator<'a> {
+    inner: &'a dyn CardEstimator,
+    seen: RefCell<FxHashMap<EstimateKey, Option<usize>>>,
+}
+
+/// A memoized estimate's key: the predicate and the probed positions.
+type EstimateKey = (PredRef, Vec<usize>);
+
+impl<'a> MemoEstimator<'a> {
+    fn new(inner: &'a dyn CardEstimator) -> Self {
+        Self {
+            inner,
+            seen: RefCell::default(),
+        }
+    }
+
+    fn get(
+        &self,
+        pred: PredRef,
+        positions: &[usize],
+        ask: impl FnOnce() -> Option<usize>,
+    ) -> Option<usize> {
+        *self
+            .seen
+            .borrow_mut()
+            .entry((pred, positions.to_vec()))
+            .or_insert_with(ask)
+    }
+}
+
+impl CardEstimator for MemoEstimator<'_> {
+    fn relation_len(&self, pred: PredRef) -> Option<usize> {
+        self.get(pred, &[], || self.inner.relation_len(pred))
+    }
+
+    fn probe_len(&self, pred: PredRef, positions: &[usize]) -> Option<usize> {
+        self.get(pred, positions, || self.inner.probe_len(pred, positions))
+    }
 }
 
 /// Plans a single rule without cardinality statistics.
@@ -206,6 +269,7 @@ pub(crate) fn plan_edb_deltas(
     program: &Program,
     est: &dyn CardEstimator,
 ) -> Vec<Vec<(usize, JoinPlan)>> {
+    let memo = MemoEstimator::new(est);
     program
         .rules
         .iter()
@@ -214,7 +278,7 @@ pub(crate) fn plan_edb_deltas(
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| l.positive && matches!(l.atom.pred, PredRef::Edb(_)))
-                .map(|(i, _)| (i, plan_with_first(rule, Some(i), est)))
+                .map(|(i, _)| (i, plan_with_first(rule, Some(i), &memo)))
                 .collect()
         })
         .collect()
@@ -300,16 +364,21 @@ fn plan_with_first(rule: &Rule, first: Option<usize>, est: &dyn CardEstimator) -
         push_step(li, &mut bound, &mut neg_emitted);
     }
     while !remaining.is_empty() {
-        // Greedy: the literal with the most bound argument positions
-        // next; ties broken by estimated enumeration cost, then by body
-        // order (stable ordering for reproducibility).
+        // Greedy: a functional probe (at most one matching row: fully
+        // bound, or costed at ≤ 1, which includes the empty intensional
+        // relations of the base plan) next, whatever its bound count;
+        // then the literal with the most bound argument positions; ties
+        // broken by estimated enumeration cost, then by body order
+        // (stable ordering for reproducibility).
         let (slot, _) = remaining
             .iter()
             .enumerate()
             .min_by_key(|&(slot, &li)| {
                 let bp = bound_positions(rule, li, &bound);
                 let cost = candidate_cost(rule, li, &bp, base_plan, est);
-                (Reverse(bp.len()), cost, slot)
+                let functional =
+                    !bp.is_empty() && (bp.len() == rule.body[li].atom.terms.len() || cost <= 1);
+                (!functional, Reverse(bp.len()), cost, slot)
             })
             .expect("remaining non-empty");
         let li = remaining.remove(slot);
@@ -468,6 +537,142 @@ mod tests {
         let plans = plan_rule_with(&p.rules[0], &StructureStats::new(&s));
         let order: Vec<usize> = plans.base.steps.iter().map(|st| st.literal).collect();
         assert_eq!(order, vec![0, 2, 1], "selective probe scheduled first");
+    }
+
+    /// A miniature of the τ_td branch-rule shape: `bag` is keyed by node
+    /// (its first column is functional) but every node has the same bag
+    /// contents, and `child1` is keyed by parent. Once `V, X0, X1` are
+    /// bound, `bag(W, X0, X1)` has two bound positions and a fanout of 8,
+    /// `child1(W, V)` one bound position and a fanout of 1.
+    fn tau_td_miniature() -> (Structure, Program) {
+        use mdtw_structure::{Domain, Signature};
+        let sig = Arc::new(Signature::from_pairs([("bag", 3), ("child1", 2)]));
+        let dom = Domain::anonymous(10);
+        let mut s = Structure::new(sig, dom);
+        let bag = s.signature().lookup("bag").unwrap();
+        let child1 = s.signature().lookup("child1").unwrap();
+        for v in 0..8u32 {
+            s.insert(bag, &[ElemId(v), ElemId(8), ElemId(9)]);
+        }
+        for v in 0..7u32 {
+            s.insert(child1, &[ElemId(v + 1), ElemId(v)]);
+        }
+        let p = parse_program(
+            "p(V) :- bag(V, X0, X1).\n\
+             q(V) :- p(V), bag(V, X0, X1), bag(W, X0, X1), child1(W, V).",
+            &s,
+        )
+        .unwrap();
+        (s, p)
+    }
+
+    fn order(plan: &JoinPlan) -> Vec<usize> {
+        plan.steps.iter().map(|st| st.literal).collect()
+    }
+
+    #[test]
+    fn functional_probe_goes_before_more_bound_positions() {
+        let (s, p) = tau_td_miniature();
+        let plans = plan_rule_with(&p.rules[1], &StructureStats::new(&s));
+        let (pos, plan) = &plans.delta[0];
+        assert_eq!(*pos, 0);
+        assert_eq!(order(plan), vec![0, 1, 3, 2], "child1 before bag(W, ..)");
+        assert_eq!(plan.steps[2].access, Access::Probe { positions: vec![1] });
+        assert_eq!(
+            plan.steps[3].access,
+            Access::Probe {
+                positions: vec![0, 1, 2]
+            }
+        );
+    }
+
+    #[test]
+    fn without_estimates_only_bound_count_orders_the_miniature() {
+        let (_, p) = tau_td_miniature();
+        let plans = plan_rule(&p.rules[1]);
+        assert_eq!(order(&plans.delta[0].1), vec![0, 1, 2, 3]);
+        assert_eq!(order(&plans.base), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn fully_bound_idb_literal_is_scheduled_once_its_variables_are_bound() {
+        use mdtw_structure::{Domain, Signature};
+        let sig = Arc::new(Signature::from_pairs([("e", 2), ("r", 3)]));
+        let dom = Domain::anonymous(6);
+        let mut s = Structure::new(sig, dom);
+        let e = s.signature().lookup("e").unwrap();
+        let r = s.signature().lookup("r").unwrap();
+        s.insert(e, &[ElemId(0), ElemId(1)]);
+        for x in 0..4u32 {
+            s.insert(r, &[ElemId(0), ElemId(1), ElemId(x + 2)]);
+        }
+        let p = parse_program(
+            "p(V) :- e(V, W).\nq(V) :- p(V), e(V, W), r(V, W, X), p(W).",
+            &s,
+        )
+        .unwrap();
+        // Delta plan on p(V): after e(V, W), p(W) is fully bound with one
+        // position, r(V, W, X) has two bound positions; the membership
+        // test p(W) goes first, with or without statistics.
+        for plans in [
+            plan_rule(&p.rules[1]),
+            plan_rule_with(&p.rules[1], &StructureStats::new(&s)),
+        ] {
+            let (pos, plan) = &plans.delta[0];
+            assert_eq!(*pos, 0);
+            assert_eq!(order(plan), vec![0, 1, 3, 2]);
+            assert_eq!(plan.steps[2].access, Access::Probe { positions: vec![0] });
+        }
+    }
+
+    /// Counts every question asked of the wrapped estimator, keyed by
+    /// `(predicate, positions, is a probe)`.
+    struct CountingEstimator<'a> {
+        inner: StructureStats<'a>,
+        asked: RefCell<FxHashMap<(EstimateKey, bool), usize>>,
+    }
+
+    impl CardEstimator for CountingEstimator<'_> {
+        fn relation_len(&self, pred: PredRef) -> Option<usize> {
+            *self
+                .asked
+                .borrow_mut()
+                .entry(((pred, Vec::new()), false))
+                .or_default() += 1;
+            self.inner.relation_len(pred)
+        }
+        fn probe_len(&self, pred: PredRef, positions: &[usize]) -> Option<usize> {
+            *self
+                .asked
+                .borrow_mut()
+                .entry(((pred, positions.to_vec()), true))
+                .or_default() += 1;
+            self.inner.probe_len(pred, positions)
+        }
+    }
+
+    #[test]
+    fn program_planning_asks_each_estimate_once() {
+        let (s, p) = tau_td_miniature();
+        let counting = CountingEstimator {
+            inner: StructureStats::new(&s),
+            asked: RefCell::default(),
+        };
+        let memoized = plan_program_with(&p, &counting);
+        let asked = counting.asked.into_inner();
+        assert!(asked.len() >= 3, "{asked:?}");
+        for (key, times) in &asked {
+            assert_eq!(*times, 1, "{key:?} asked {times} times");
+        }
+        // The memo changes how often the estimator is asked, not what the
+        // planner decides.
+        for (rule, plans) in p.rules.iter().zip(&memoized) {
+            let direct = plan_rule_with(rule, &StructureStats::new(&s));
+            assert_eq!(order(&plans.base), order(&direct.base));
+            for ((_, a), (_, b)) in plans.delta.iter().zip(&direct.delta) {
+                assert_eq!(order(a), order(b));
+            }
+        }
     }
 
     #[test]

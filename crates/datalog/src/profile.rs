@@ -741,9 +741,9 @@ fn plan_explanation_json(plan: &PlanExplanation) -> Json {
 /// Builds an [`Explanation`] from compiled plans. Plans are compiled
 /// against the *base* program and structure statistics; in multi-stratum
 /// evaluation, lower strata are materialized as extensional relations
-/// with real cardinalities before the higher strata plan, which can shift
-/// greedy tie-breaks — the explanation shows the structure-statistics
-/// baseline.
+/// with real cardinalities before the higher strata plan, which can change
+/// which probes count as functional and how greedy ties break — the
+/// explanation shows the structure-statistics baseline.
 pub(crate) fn explain_plans(
     program: &Program,
     strat: &Stratification,
