@@ -1,12 +1,14 @@
 //! 3-Colorability (paper §5.1, Figure 5): the FPT dynamic program vs the
 //! exponential backtracking baseline vs the tree-automaton run, on random
-//! partial 3-trees of growing size.
+//! partial 3-trees of growing size. The `three_col/min_fill` group times
+//! the min-fill decomposition that `three_coloring_fpt` builds first, so
+//! its scaling shows beside the DP's.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mdtw_core::ThreeColSolver;
-use mdtw_decomp::{NiceOptions, NiceTd};
+use mdtw_decomp::{decompose, Heuristic, NiceOptions, NiceTd};
 use mdtw_fta::nfta_3col;
-use mdtw_graph::{is_three_colorable_exact, partial_k_tree, Graph};
+use mdtw_graph::{encode_graph, is_three_colorable_exact, partial_k_tree, Graph};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -67,5 +69,28 @@ fn bench_nfta(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dp, bench_backtracking, bench_nfta);
+fn bench_min_fill(c: &mut Criterion) {
+    let mut group = c.benchmark_group("three_col/min_fill");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    let mut rng = SmallRng::seed_from_u64(1234);
+    for n in [400usize, 1600, 6400] {
+        let (g, _) = partial_k_tree(&mut rng, n, 3, 0.85);
+        let s = encode_graph(&g);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| black_box(decompose(&s, Heuristic::MinFill).width()));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dp,
+    bench_backtracking,
+    bench_nfta,
+    bench_min_fill
+);
 criterion_main!(benches);

@@ -6,10 +6,33 @@
 //! near-optimal on the bounded-treewidth workloads used here, plus an exact
 //! exponential search for small instances (used in tests to certify widths,
 //! e.g. that Example 2.2 has treewidth 2).
+//!
+//! # Cost model
+//!
+//! The greedy heuristics run the elimination game once, with local work
+//! per step. Every alive vertex sits in an ordered queue keyed by
+//! `(score, vertex)`, so the next vertex is the queue's minimum and only
+//! vertices whose score changed are re-keyed (`O(log n)` each). The
+//! min-degree score is the current degree, which changes only on `N(v)`
+//! when `v` is eliminated. The min-fill score is kept exactly as
+//! `fill(w) = C(deg(w), 2) − tri(w)`, where `tri(w)` counts the edges
+//! inside `N(w)`:
+//!
+//! * a fill edge `(a, b)` adds `|N(a) ∩ N(b)|` to `tri(a)` and `tri(b)`
+//!   and one to `tri(c)` for every common neighbour `c` (found by scanning
+//!   the smaller of the two adjacencies);
+//! * removing `v` once `N(v)` is a clique takes `|N(v)| − 1` from `tri(u)`
+//!   for each `u ∈ N(v)`.
+//!
+//! Eliminating `v` thus costs `O(|N(v)|²)` adjacency probes to close
+//! `N(v)` into a clique, `O(min(deg a, deg b))` per fill edge, and one
+//! re-key per changed score; nothing is rescanned and nothing is allocated
+//! per candidate. [`decompose`] takes its bags from this same pass.
 
 use crate::tree::{NodeId, TreeDecomposition};
 use mdtw_structure::fx::FxHashSet;
 use mdtw_structure::{ElemId, Structure};
+use std::collections::BTreeSet;
 
 /// The primal (Gaifman) graph of a structure: one vertex per domain
 /// element, an edge whenever two elements co-occur in some EDB tuple.
@@ -22,48 +45,35 @@ pub struct PrimalGraph {
 impl PrimalGraph {
     /// Builds the primal graph of `structure`.
     pub fn of(structure: &Structure) -> Self {
-        let n = structure.domain().len();
-        let mut sets: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
-        for p in structure.signature().preds() {
-            for t in structure.relation(p).iter() {
-                for (i, &a) in t.iter().enumerate() {
-                    for &b in &t[i + 1..] {
-                        if a != b {
-                            sets[a.index()].insert(b.0);
-                            sets[b.index()].insert(a.0);
-                        }
-                    }
-                }
-            }
-        }
-        let adj = sets
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<u32> = s.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        Self { adj }
+        let tuples = structure
+            .signature()
+            .preds()
+            .flat_map(|p| structure.relation(p).iter());
+        let pairs = tuples.flat_map(|t| {
+            (0..t.len()).flat_map(move |i| t[i + 1..].iter().map(move |b| (t[i].0, b.0)))
+        });
+        Self::build(structure.domain().len(), pairs)
     }
 
     /// Builds a primal graph directly from an edge list on `n` vertices.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut sets: Vec<FxHashSet<u32>> = vec![FxHashSet::default(); n];
-        for &(a, b) in edges {
+        Self::build(n, edges.iter().copied())
+    }
+
+    /// Pushes both directions of every non-loop edge, then sorts and
+    /// dedups each adjacency list.
+    fn build(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (a, b) in edges {
             if a != b {
-                sets[a as usize].insert(b);
-                sets[b as usize].insert(a);
+                adj[a as usize].push(b);
+                adj[b as usize].push(a);
             }
         }
-        let adj = sets
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<u32> = s.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
+        for ns in &mut adj {
+            ns.sort_unstable();
+            ns.dedup();
+        }
         Self { adj }
     }
 
@@ -98,7 +108,6 @@ pub enum Heuristic {
 /// Work graph for elimination: mutable adjacency sets.
 struct WorkGraph {
     adj: Vec<FxHashSet<u32>>,
-    alive: Vec<bool>,
 }
 
 impl WorkGraph {
@@ -109,75 +118,197 @@ impl WorkGraph {
                 .iter()
                 .map(|ns| ns.iter().copied().collect())
                 .collect(),
-            alive: vec![true; g.len()],
         }
     }
 
-    fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
-    }
-
-    fn fill_in(&self, v: u32) -> usize {
-        let ns: Vec<u32> = self.adj[v as usize].iter().copied().collect();
-        let mut missing = 0;
-        for (i, &a) in ns.iter().enumerate() {
-            for &b in &ns[i + 1..] {
+    /// Eliminates `v`: connects its neighbourhood into a clique, removes
+    /// `v`, and leaves `N(v)` in `nbrs`. `on_fill(adj, a, b)` sees each
+    /// fill edge `(a, b)` just before it is added (`v` is then still a
+    /// neighbour of both).
+    fn eliminate(
+        &mut self,
+        v: u32,
+        nbrs: &mut Vec<u32>,
+        mut on_fill: impl FnMut(&[FxHashSet<u32>], u32, u32),
+    ) {
+        nbrs.clear();
+        nbrs.extend(std::mem::take(&mut self.adj[v as usize]));
+        for (i, &a) in nbrs.iter().enumerate() {
+            for &b in &nbrs[i + 1..] {
                 if !self.adj[a as usize].contains(&b) {
-                    missing += 1;
+                    on_fill(&self.adj, a, b);
+                    self.adj[a as usize].insert(b);
+                    self.adj[b as usize].insert(a);
                 }
             }
         }
-        missing
-    }
-
-    /// Eliminates `v`: connects its neighbourhood into a clique, removes `v`.
-    /// Returns the bag `{v} ∪ N(v)`.
-    fn eliminate(&mut self, v: u32) -> Vec<u32> {
-        let ns: Vec<u32> = self.adj[v as usize].iter().copied().collect();
-        for (i, &a) in ns.iter().enumerate() {
-            for &b in &ns[i + 1..] {
-                self.adj[a as usize].insert(b);
-                self.adj[b as usize].insert(a);
-            }
-        }
-        for &u in &ns {
+        for &u in nbrs.iter() {
             self.adj[u as usize].remove(&v);
         }
-        self.adj[v as usize].clear();
-        self.alive[v as usize] = false;
-        let mut bag = ns;
-        bag.push(v);
-        bag.sort_unstable();
-        bag
+    }
+}
+
+/// Calls `f` on every common neighbour of `a` and `b`, scanning the
+/// smaller of the two adjacencies.
+fn for_common_neighbors(adj: &[FxHashSet<u32>], a: u32, b: u32, mut f: impl FnMut(u32)) {
+    let (mut small, mut large) = (&adj[a as usize], &adj[b as usize]);
+    if small.len() > large.len() {
+        std::mem::swap(&mut small, &mut large);
+    }
+    for &c in small {
+        if large.contains(&c) {
+            f(c);
+        }
+    }
+}
+
+/// Plays the elimination game with `heuristic`: repeatedly eliminates the
+/// alive vertex with the least `(score, vertex id)` and calls
+/// `visit(v, N(v))` with its neighbourhood at elimination time.
+fn eliminate_greedy(g: &PrimalGraph, heuristic: Heuristic, mut visit: impl FnMut(u32, &[u32])) {
+    let n = g.len();
+    let min_fill = heuristic == Heuristic::MinFill;
+    let mut wg = WorkGraph::new(g);
+    // Min-fill only: `tri[w]` is the number of edges inside `N(w)`.
+    let mut tri = Vec::new();
+    if min_fill {
+        tri = vec![0usize; n];
+        for a in 0..n as u32 {
+            for &b in g.neighbors(a).iter().filter(|&&b| a < b) {
+                for_common_neighbors(&wg.adj, a, b, |c| tri[c as usize] += 1);
+            }
+        }
+    }
+    let score = |adj: &[FxHashSet<u32>], tri: &[usize], w: u32| {
+        let d = adj[w as usize].len();
+        if min_fill {
+            d * d.saturating_sub(1) / 2 - tri[w as usize]
+        } else {
+            d
+        }
+    };
+    // `key[w]` is the score `w` is queued under.
+    let mut key: Vec<usize> = (0..n as u32).map(|w| score(&wg.adj, &tri, w)).collect();
+    let mut queue: BTreeSet<(usize, u32)> = key.iter().zip(0..).map(|(&k, w)| (k, w)).collect();
+    let mut nbrs = Vec::new();
+    // Alive vertices whose score may have changed (repeats allowed).
+    let mut touched = Vec::new();
+    while let Some((_, v)) = queue.pop_first() {
+        wg.eliminate(v, &mut nbrs, |adj, a, b| {
+            if !min_fill {
+                return;
+            }
+            let mut common = 0;
+            for_common_neighbors(adj, a, b, |c| {
+                common += 1;
+                if c != v {
+                    tri[c as usize] += 1;
+                    touched.push(c);
+                }
+            });
+            tri[a as usize] += common;
+            tri[b as usize] += common;
+        });
+        visit(v, &nbrs);
+        if min_fill {
+            // `N(v)` is now a clique, so each `u ∈ N(v)` lost the edges
+            // from `v` to the other `|N(v)| − 1` members of `N(u)`.
+            for &u in &nbrs {
+                tri[u as usize] -= nbrs.len() - 1;
+            }
+        }
+        touched.extend_from_slice(&nbrs);
+        for w in touched.drain(..) {
+            let s = score(&wg.adj, &tri, w);
+            let k = &mut key[w as usize];
+            if s != *k {
+                queue.remove(&(*k, w));
+                queue.insert((s, w));
+                *k = s;
+            }
+        }
     }
 }
 
 /// Computes an elimination order with the given heuristic.
+///
+/// Each step eliminates an alive vertex of least score (current degree
+/// for [`Heuristic::MinDegree`], number of fill-in edges for
+/// [`Heuristic::MinFill`]); ties go to the smallest vertex id. That
+/// tie-break is part of the contract: the order is a pure function of the
+/// graph, pinned against a rescanning oracle in the test suite.
+///
+/// Scores are maintained incrementally (see the module docs), so a step
+/// costs work local to the eliminated vertex's neighbourhood plus
+/// `O(log n)` per changed score, not a rescan of all alive vertices.
 pub fn elimination_order(g: &PrimalGraph, heuristic: Heuristic) -> Vec<u32> {
-    let n = g.len();
-    let mut wg = WorkGraph::new(g);
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = (0..n as u32)
-            .filter(|&v| wg.alive[v as usize])
-            .min_by_key(|&v| match heuristic {
-                Heuristic::MinDegree => (wg.degree(v), v),
-                Heuristic::MinFill => (wg.fill_in(v), v),
-            })
-            .expect("alive vertex exists");
-        wg.eliminate(v);
-        order.push(v);
-    }
+    let mut order = Vec::with_capacity(g.len());
+    eliminate_greedy(g, heuristic, |v, _| order.push(v));
     order
+}
+
+/// The bag `{v} ∪ N(v)` of an eliminated vertex.
+fn bag_of(v: u32, nbrs: &[u32]) -> Vec<ElemId> {
+    std::iter::once(v)
+        .chain(nbrs.iter().copied())
+        .map(ElemId)
+        .collect()
 }
 
 /// Builds a rooted tree decomposition from an elimination order over the
 /// primal graph (the standard "elimination tree" construction: the bag of
 /// `v` is `{v} ∪ N(v)` at elimination time; its parent is the bag of the
 /// earliest-eliminated element of `N(v)`).
+///
+/// # Panics
+///
+/// If `order` is not a permutation of the vertices `0..g.len()`; the
+/// message names the first vertex that is out of range or repeated.
 pub fn decompose_with_order(g: &PrimalGraph, order: &[u32]) -> TreeDecomposition {
     let n = g.len();
     assert_eq!(order.len(), n, "order must cover all vertices");
+    let mut seen = vec![false; n];
+    for &v in order {
+        assert!(
+            (v as usize) < n,
+            "order must be a permutation: vertex {v} is not in the graph"
+        );
+        assert!(
+            !seen[v as usize],
+            "order must be a permutation: vertex {v} appears twice"
+        );
+        seen[v as usize] = true;
+    }
+    let mut wg = WorkGraph::new(g);
+    let mut nbrs = Vec::new();
+    let bags = order
+        .iter()
+        .map(|&v| {
+            wg.eliminate(v, &mut nbrs, |_, _, _| {});
+            bag_of(v, &nbrs)
+        })
+        .collect();
+    elimination_tree(order, bags)
+}
+
+/// Convenience: decomposes `structure` with the given heuristic, taking
+/// the bags from the elimination pass that picks the order.
+pub fn decompose(structure: &Structure, heuristic: Heuristic) -> TreeDecomposition {
+    let g = PrimalGraph::of(structure);
+    let mut order = Vec::with_capacity(g.len());
+    let mut bags = Vec::with_capacity(g.len());
+    eliminate_greedy(&g, heuristic, |v, nbrs| {
+        order.push(v);
+        bags.push(bag_of(v, nbrs));
+    });
+    elimination_tree(&order, bags)
+}
+
+/// Links the bags of an elimination (`bags[i]` belongs to `order[i]`)
+/// into a tree: the parent of bag `i` is the bag of its earliest-eliminated
+/// other member, all of which are eliminated after `order[i]`.
+fn elimination_tree(order: &[u32], mut bags: Vec<Vec<ElemId>>) -> TreeDecomposition {
+    let n = order.len();
     if n == 0 {
         return TreeDecomposition::singleton(Vec::new());
     }
@@ -185,26 +316,16 @@ pub fn decompose_with_order(g: &PrimalGraph, order: &[u32]) -> TreeDecomposition
     for (i, &v) in order.iter().enumerate() {
         pos[v as usize] = i;
     }
-    let mut wg = WorkGraph::new(g);
-    let mut bags: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for &v in order {
-        bags.push(wg.eliminate(v));
-    }
-    // Parent of bag i: the elimination-position of the earliest-eliminated
-    // *other* member of the bag that is eliminated after v.
-    // (All members other than v are eliminated after v by construction.)
-    // Build the tree rooted at the last-eliminated vertex's bag.
-    // First compute parent indices.
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    for (i, bag) in bags.iter().enumerate() {
-        let v = order[i];
-        let p = bag
-            .iter()
-            .filter(|&&u| u != v)
-            .map(|&u| pos[u as usize])
-            .min();
-        parent[i] = p;
-    }
+    let parent: Vec<Option<usize>> = bags
+        .iter()
+        .zip(order)
+        .map(|(bag, &v)| {
+            bag.iter()
+                .filter(|u| u.0 != v)
+                .map(|u| pos[u.index()])
+                .min()
+        })
+        .collect();
     // Roots: bags with no parent (one per connected component). Chain the
     // components together under the last root so we return a single tree
     // (bags may be disjoint; attaching preserves all conditions because the
@@ -223,23 +344,15 @@ pub fn decompose_with_order(g: &PrimalGraph, order: &[u32]) -> TreeDecomposition
             children[main_root].push(r);
         }
     }
-    let to_elems = |b: &Vec<u32>| b.iter().map(|&x| ElemId(x)).collect::<Vec<_>>();
-    let mut td = TreeDecomposition::singleton(to_elems(&bags[main_root]));
+    let mut td = TreeDecomposition::singleton(std::mem::take(&mut bags[main_root]));
     let mut stack: Vec<(usize, NodeId)> = vec![(main_root, td.root())];
     while let Some((i, node)) = stack.pop() {
         for &c in &children[i] {
-            let child_node = td.add_child(node, to_elems(&bags[c]));
+            let child_node = td.add_child(node, std::mem::take(&mut bags[c]));
             stack.push((c, child_node));
         }
     }
     td
-}
-
-/// Convenience: decomposes `structure` with the given heuristic.
-pub fn decompose(structure: &Structure, heuristic: Heuristic) -> TreeDecomposition {
-    let g = PrimalGraph::of(structure);
-    let order = elimination_order(&g, heuristic);
-    decompose_with_order(&g, &order)
 }
 
 /// Exact treewidth by dynamic programming over vertex subsets
@@ -257,9 +370,10 @@ pub fn exact_treewidth(g: &PrimalGraph) -> usize {
     // maximal back-degree encountered. Back-degree of v w.r.t. already
     // eliminated set E: number of vertices outside E∪{v} reachable from v
     // through E.
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    let full: u32 = (1u32 << n) - 1;
     let mut f = vec![u8::MAX; (full as usize) + 1];
     f[0] = 0;
+    let mut stack = Vec::with_capacity(n);
     // Iterate subsets in increasing popcount order implicitly: increasing
     // numeric order suffices since S' = S \ {v} < S numerically.
     for s in 1..=full {
@@ -273,7 +387,7 @@ pub fn exact_treewidth(g: &PrimalGraph) -> usize {
             if prev == u8::MAX {
                 continue;
             }
-            let deg = reach_degree(g, v, s & !(1 << v)) as u8;
+            let deg = reach_degree(g, v, s & !(1 << v), &mut stack) as u8;
             best = best.min(prev.max(deg));
         }
         f[su] = best;
@@ -282,10 +396,11 @@ pub fn exact_treewidth(g: &PrimalGraph) -> usize {
 }
 
 /// Number of vertices outside `eliminated ∪ {v}` reachable from `v` via
-/// vertices in `eliminated`.
-fn reach_degree(g: &PrimalGraph, v: u32, eliminated: u32) -> usize {
+/// vertices in `eliminated`. `stack` is scratch space.
+fn reach_degree(g: &PrimalGraph, v: u32, eliminated: u32, stack: &mut Vec<u32>) -> usize {
     let mut seen = 1u32 << v;
-    let mut stack = vec![v];
+    stack.clear();
+    stack.push(v);
     let mut degree = 0;
     while let Some(u) = stack.pop() {
         for &w in g.neighbors(u) {
@@ -388,5 +503,41 @@ mod tests {
         let td = decompose_with_order(&g, &[0, 2, 1]);
         assert_eq!(td.len(), 3);
         assert_eq!(td.width(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 0 appears twice")]
+    fn order_with_repeated_vertex_is_rejected() {
+        // Unchecked, the never-eliminated vertex 2 keeps position 0 and the
+        // result is one node with bag {0}: vertices 1 and 2 are lost.
+        let g = PrimalGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        decompose_with_order(&g, &[0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 3 is not in the graph")]
+    fn order_with_unknown_vertex_is_rejected() {
+        let g = PrimalGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        decompose_with_order(&g, &[0, 3, 1]);
+    }
+
+    #[test]
+    fn constructors_agree_on_adjacency() {
+        use mdtw_structure::{Domain, Signature};
+        use std::sync::Arc;
+        let sig = Arc::new(Signature::from_pairs([("r", 3), ("e", 2)]));
+        let mut s = Structure::new(sig, Domain::anonymous(5));
+        let r = s.signature().lookup("r").unwrap();
+        let e = s.signature().lookup("e").unwrap();
+        s.insert(r, &[ElemId(0), ElemId(1), ElemId(0)]);
+        s.insert(e, &[ElemId(3), ElemId(1)]);
+        s.insert(e, &[ElemId(1), ElemId(3)]);
+        let g = PrimalGraph::of(&s);
+        let h = PrimalGraph::from_edges(5, &[(1, 0), (3, 1), (0, 1), (2, 2)]);
+        for v in 0..5 {
+            assert_eq!(g.neighbors(v), h.neighbors(v), "vertex {v}");
+        }
+        assert_eq!(g.neighbors(1), &[0, 3]);
+        assert!(g.neighbors(4).is_empty());
     }
 }

@@ -8,9 +8,11 @@
 //! * [`TreeDecomposition`] — rooted decompositions with set bags (§2.2),
 //!   with full validation of the three decomposition conditions;
 //! * [`heuristics`] — construction by min-degree / min-fill elimination
-//!   orders plus an exact exponential treewidth algorithm for small
-//!   instances (Bodlaender's linear-time algorithm \[3\] is impractical and
-//!   the paper itself generates decompositions directly);
+//!   orders (one elimination pass with incrementally kept scores and an
+//!   ordered queue, ties to the smallest vertex id) plus an exact
+//!   exponential treewidth algorithm for small instances (Bodlaender's
+//!   linear-time algorithm \[3\] is impractical and the paper itself
+//!   generates decompositions directly);
 //! * [`TupleTd`] — the normal form of Definition 2.3 (tuple bags;
 //!   permutation / element-replacement / branch nodes) with the
 //!   Proposition 2.4 normalization pipeline;
